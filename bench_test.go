@@ -65,38 +65,25 @@ func BenchmarkAblationContextSwitch(b *testing.B) { benchExperiment(b, "abl2") }
 // bpred/prefetch axis variants); CI tracks it as BENCH_interplay.json.
 func BenchmarkInterplay(b *testing.B) { benchExperiment(b, "interplay") }
 
-// BenchmarkSimulatorThroughput measures raw simulation speed (simulated
-// instructions per wall-clock second) of the baseline core on one workload —
-// the cost model everything above is built on.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	spec := workload.SmallSuite()[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(sim.Options{Workload: spec, Instructions: 50_000}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(50_000*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
-}
-
-// BenchmarkCoreLoop is the tracked metric for the simulator core itself:
-// simulated cycles per wall-clock second on the baseline pipeline, with
-// allocation counts reported so the zero-allocation property of the hot loop
-// is regression-checked in every CI artifact (BENCH_core.json).
+// BenchmarkCoreLoop is the tracked metric for the simulator itself: one
+// 50k-instruction baseline run per iteration, reported as simulated cycles
+// and instructions per wall-clock second, with allocation counts so per-run
+// setup cost is regression-checked in every CI artifact (BENCH_core.json).
 func BenchmarkCoreLoop(b *testing.B) {
+	const insts = 50_000
 	spec := workload.SmallSuite()[0]
 	b.ReportAllocs()
 	var cycles uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sim.Options{Workload: spec, Instructions: 50_000})
+		res, err := sim.Run(sim.Options{Workload: spec, Instructions: insts})
 		if err != nil {
 			b.Fatal(err)
 		}
 		cycles += res.Cycles
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
+	b.ReportMetric(insts*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
 }
 
 // BenchmarkConstableOverhead measures the simulation-speed cost of modelling

@@ -26,18 +26,28 @@ type Config struct {
 // SizeBytes returns the capacity of the configured cache.
 func (c Config) SizeBytes() int { return c.Sets * c.Ways * isa.CachelineBytes }
 
+// line is one way of a set, packed into 16 bytes. A line address is a byte
+// address / 64, so its top six bits are always zero: key holds the line
+// address in the low bits and the valid, dirty and reused flags in the top
+// three. The zero value is an invalid line.
 type line struct {
-	tag     uint64
-	valid   bool
-	dirty   bool
+	key     uint64
 	lastUse uint64
-	reused  bool
 }
+
+const (
+	lineValid    = 1 << 63
+	lineDirty    = 1 << 62
+	lineReused   = 1 << 61
+	lineAddrMask = lineReused - 1
+)
 
 // Cache is one set-associative cache level.
 type Cache struct {
-	cfg   Config
-	sets  [][]line
+	cfg Config
+	// lines holds every way of every set in one flat array: way w of set s
+	// is lines[s*Ways+w].
+	lines []line
 	clock uint64
 
 	Hits   uint64
@@ -56,11 +66,15 @@ func NewCache(cfg Config) *Cache {
 	if cfg.Ways <= 0 {
 		panic(fmt.Sprintf("cache %s: ways %d must be positive", cfg.Name, cfg.Ways))
 	}
-	sets := make([][]line, cfg.Sets)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
-	}
-	return &Cache{cfg: cfg, sets: sets}
+	return &Cache{cfg: cfg, lines: make([]line, cfg.Sets*cfg.Ways)}
+}
+
+// reset restores the state NewCache builds: every line invalid, clock and
+// counters zero, no eviction hook.
+func (c *Cache) reset() {
+	clear(c.lines)
+	c.clock, c.Hits, c.Misses = 0, 0, 0
+	c.OnEvict = nil
 }
 
 // Config returns the cache's configuration.
@@ -69,13 +83,22 @@ func (c *Cache) Config() Config { return c.cfg }
 // LineAddr converts a byte address to a cacheline address.
 func LineAddr(addr uint64) uint64 { return addr / isa.CachelineBytes }
 
-func (c *Cache) setOf(lineAddr uint64) int { return int(lineAddr) & (c.cfg.Sets - 1) }
+// set returns the ways of the set lineAddr maps to.
+func (c *Cache) set(lineAddr uint64) []line {
+	i := (int(lineAddr) & (c.cfg.Sets - 1)) * c.cfg.Ways
+	return c.lines[i : i+c.cfg.Ways]
+}
+
+// holds reports whether l is a valid copy of lineAddr.
+func (l *line) holds(lineAddr uint64) bool {
+	return l.key&^(lineDirty|lineReused) == lineAddr|lineValid
+}
 
 // Lookup probes the cache without changing replacement state.
 func (c *Cache) Lookup(lineAddr uint64) bool {
-	for i := range c.sets[c.setOf(lineAddr)] {
-		l := &c.sets[c.setOf(lineAddr)][i]
-		if l.valid && l.tag == lineAddr {
+	set := c.set(lineAddr)
+	for i := range set {
+		if set[i].holds(lineAddr) {
 			return true
 		}
 	}
@@ -86,14 +109,16 @@ func (c *Cache) Lookup(lineAddr uint64) bool {
 // write marks the line dirty on a store.
 func (c *Cache) Access(lineAddr uint64, write bool) bool {
 	c.clock++
-	set := c.sets[c.setOf(lineAddr)]
+	set := c.set(lineAddr)
 	for i := range set {
 		l := &set[i]
-		if l.valid && l.tag == lineAddr {
+		if l.holds(lineAddr) {
 			c.Hits++
 			l.lastUse = c.clock
-			l.reused = true
-			l.dirty = l.dirty || write
+			l.key |= lineReused
+			if write {
+				l.key |= lineDirty
+			}
 			return true
 		}
 	}
@@ -112,7 +137,7 @@ func (c *Cache) Fill(lineAddr uint64) {
 }
 
 func (c *Cache) fill(lineAddr uint64, write bool) {
-	set := c.sets[c.setOf(lineAddr)]
+	set := c.set(lineAddr)
 	victim := 0
 	// Prefer invalid ways, then (for dead-block-aware) never-reused lines,
 	// then LRU.
@@ -120,13 +145,13 @@ func (c *Cache) fill(lineAddr uint64, write bool) {
 	foundDead := false
 	for i := range set {
 		l := &set[i]
-		if !l.valid {
+		if l.key&lineValid == 0 {
 			victim = i
 			best = 0
 			foundDead = true
 			break
 		}
-		if c.cfg.DeadBlockAware && !l.reused {
+		if c.cfg.DeadBlockAware && l.key&lineReused == 0 {
 			if !foundDead || l.lastUse < best {
 				victim, best, foundDead = i, l.lastUse, true
 			}
@@ -137,22 +162,26 @@ func (c *Cache) fill(lineAddr uint64, write bool) {
 		}
 	}
 	v := &set[victim]
-	if v.valid {
+	if v.key&lineValid != 0 {
 		if c.OnEvict != nil {
-			c.OnEvict(v.tag)
+			c.OnEvict(v.key & lineAddrMask)
 		}
 	}
-	*v = line{tag: lineAddr, valid: true, dirty: write, lastUse: c.clock}
+	key := lineAddr | lineValid
+	if write {
+		key |= lineDirty
+	}
+	*v = line{key: key, lastUse: c.clock}
 }
 
 // Invalidate drops lineAddr if present (snoop handling). Reports whether the
 // line was present.
 func (c *Cache) Invalidate(lineAddr uint64) bool {
-	set := c.sets[c.setOf(lineAddr)]
+	set := c.set(lineAddr)
 	for i := range set {
 		l := &set[i]
-		if l.valid && l.tag == lineAddr {
-			l.valid = false
+		if l.holds(lineAddr) {
+			l.key &^= lineValid
 			return true
 		}
 	}

@@ -54,6 +54,13 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 	}
 }
 
+// reset restores the state NewDRAM builds: every bank closed, counters zero.
+func (d *DRAM) reset() {
+	clear(d.banks)
+	clear(d.openRow)
+	d.Accesses, d.RowHits = 0, 0
+}
+
 // Access returns the access latency in core cycles for the byte address.
 func (d *DRAM) Access(addr uint64) int {
 	d.Accesses++

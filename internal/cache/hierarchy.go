@@ -45,9 +45,11 @@ type Hierarchy struct {
 	DRAM *DRAM
 
 	// l1pf is the pluggable L1-D prefetcher (stride by default; the
-	// mechanism registry swaps in delta-pattern or none). streamL2 is the
-	// fixed L2 next-line streamer.
+	// mechanism registry swaps in delta-pattern or none). stride is the
+	// hierarchy's own default, which Reset puts back. streamL2 is the fixed
+	// L2 next-line streamer.
 	l1pf     L1Prefetcher
+	stride   *StridePrefetcher
 	streamL2 *Streamer
 
 	// l1dPred, when attached, observes every demand load's hit/miss
@@ -71,14 +73,33 @@ type Hierarchy struct {
 // NewHierarchy builds a hierarchy from cfg. Each call creates private
 // caches; use SetSharedLLC to share an LLC between cores.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
+	stride := NewStridePrefetcher(cfg.StrideEntries, cfg.StrideDegree)
 	return &Hierarchy{
 		L1D:      NewCache(cfg.L1D),
 		L2:       NewCache(cfg.L2),
 		LLC:      NewCache(cfg.LLC),
 		DRAM:     NewDRAM(cfg.DRAM),
-		l1pf:     NewStridePrefetcher(cfg.StrideEntries, cfg.StrideDegree),
+		l1pf:     stride,
+		stride:   stride,
 		streamL2: NewStreamer(cfg.StreamTrackers, cfg.StreamDegree),
 	}
+}
+
+// Reset restores, in place and without allocating, the state NewHierarchy
+// built: every cache line invalid, clocks, counters, DRAM rows, stride table
+// and streamer regions cleared, the default stride prefetcher attached, and
+// no L1-D predictor, directory, core ID or eviction hook. It clears the LLC
+// and DRAM currently attached, so a hierarchy whose LLC is shared through
+// SetSharedLLC must not be reset while other cores use it.
+func (h *Hierarchy) Reset() {
+	h.L1D.reset()
+	h.L2.reset()
+	h.LLC.reset()
+	h.DRAM.reset()
+	h.stride.reset()
+	h.streamL2.reset()
+	*h = Hierarchy{L1D: h.L1D, L2: h.L2, LLC: h.LLC, DRAM: h.DRAM,
+		l1pf: h.stride, stride: h.stride, streamL2: h.streamL2}
 }
 
 // SetL1Prefetcher replaces the L1-D prefetcher (nil disables prefetching

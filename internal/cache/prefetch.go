@@ -55,6 +55,8 @@ func (c PrefetchConfig) Validate() error {
 // a demand load and returns line addresses to prefetch-fill. The hierarchy
 // owns one (stride by default); the mechanism registry swaps variants in.
 type L1Prefetcher interface {
+	// Observe may return a buffer the prefetcher reuses: the result is
+	// valid only until the next call to Observe.
 	Observe(pc, addr uint64) []uint64
 	// IssuedCount returns the running count of issued prefetches, for the
 	// run's counter snapshot.
@@ -89,6 +91,7 @@ type StridePrefetcher struct {
 	threshold int
 	maxConf   int
 	Issued    uint64
+	buf       []uint64 // backs Observe's result; capacity degree
 }
 
 type strideEntry struct {
@@ -119,14 +122,21 @@ func NewStridePrefetcherWith(cfg PrefetchConfig) *StridePrefetcher {
 		degree:    cfg.Degree,
 		threshold: cfg.Threshold,
 		maxConf:   cfg.MaxConf,
+		buf:       make([]uint64, 0, cfg.Degree),
 	}
+}
+
+// reset restores the state NewStridePrefetcherWith builds.
+func (p *StridePrefetcher) reset() {
+	clear(p.table)
+	p.Issued = 0
 }
 
 // IssuedCount returns how many prefetches have been issued.
 func (p *StridePrefetcher) IssuedCount() uint64 { return p.Issued }
 
 // Observe trains on a demand load and returns the line addresses to
-// prefetch (possibly none).
+// prefetch (possibly none), valid until the next call.
 func (p *StridePrefetcher) Observe(pc, addr uint64) []uint64 {
 	e := &p.table[(pc>>2)&p.mask]
 	if !e.valid || e.pc != pc {
@@ -146,7 +156,7 @@ func (p *StridePrefetcher) Observe(pc, addr uint64) []uint64 {
 	if e.conf < p.threshold {
 		return nil
 	}
-	out := make([]uint64, 0, p.degree)
+	out := p.buf[:0]
 	next := int64(addr)
 	for i := 0; i < p.degree; i++ {
 		next += e.stride
@@ -167,6 +177,7 @@ type Streamer struct {
 	mask    uint64
 	degree  int
 	Issued  uint64
+	buf     []uint64 // backs Observe's result; capacity degree
 }
 
 type streamRegion struct {
@@ -180,10 +191,18 @@ type streamRegion struct {
 // up to a power of two) and prefetch degree.
 func NewStreamer(trackers, degree int) *Streamer {
 	n := nextPow2(trackers)
-	return &Streamer{regions: make([]streamRegion, n), mask: uint64(n - 1), degree: degree}
+	return &Streamer{regions: make([]streamRegion, n), mask: uint64(n - 1), degree: degree,
+		buf: make([]uint64, 0, degree)}
 }
 
-// Observe trains on an L2 access and returns line addresses to prefetch.
+// reset restores the state NewStreamer builds.
+func (s *Streamer) reset() {
+	clear(s.regions)
+	s.Issued = 0
+}
+
+// Observe trains on an L2 access and returns line addresses to prefetch,
+// valid until the next call.
 func (s *Streamer) Observe(lineAddr uint64) []uint64 {
 	region := lineAddr / (4096 / 64)
 	e := &s.regions[region&s.mask]
@@ -202,7 +221,7 @@ func (s *Streamer) Observe(lineAddr uint64) []uint64 {
 	if e.hits < 2 {
 		return nil
 	}
-	out := make([]uint64, 0, s.degree)
+	out := s.buf[:0]
 	for i := 1; i <= s.degree; i++ {
 		out = append(out, lineAddr+uint64(i))
 		s.Issued++

@@ -313,21 +313,29 @@ func TestAllUnavailableChunkDemotesWorker(t *testing.T) {
 			return BatchResult{Err: fmt.Errorf("%w: connection reset", ErrBackendUnavailable)}
 		},
 	}
-	bv := s.Backend().AddWorker("broken", "fake://broken", broken.cap, broken)
+	// Queue both cells before the worker registers, so the dispatcher hands
+	// them over as one two-cell chunk. Submitted to a live worker, the first
+	// cell could fail and demote it before the second is dispatched, leaving
+	// the second parked with no healthy backend.
 	for i := 0; i < 2; i++ {
 		if _, err := s.Submit(JobSpec{Workload: name, Instructions: uint64(9000 + i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	bv := s.Backend().AddWorker("broken", "fake://broken", broken.cap, broken)
 
+	// Demotion and the second requeue are separate events: the worker can
+	// be seen demoted before the last cell's requeue is counted, so wait for
+	// both.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if v, ok := s.Backend().Worker(bv.ID); ok && !v.Healthy && v.Failures > 0 {
+		v, ok := s.Backend().Worker(bv.ID)
+		if ok && !v.Healthy && v.Failures > 0 && s.Metrics().JobsRequeued >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {
-			v, _ := s.Backend().Worker(bv.ID)
-			t.Fatalf("worker never demoted after an all-unavailable chunk: %+v", v)
+			t.Fatalf("worker never demoted with both cells requeued after an all-unavailable chunk: %+v, requeued = %d",
+				v, s.Metrics().JobsRequeued)
 		}
 		time.Sleep(time.Millisecond)
 	}

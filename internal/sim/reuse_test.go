@@ -1,0 +1,118 @@
+package sim
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+
+	"constable/internal/constable"
+)
+
+// reuseSpecs are runs that between them leave every kind of state on the
+// pooled hierarchy: an AMT-I eviction hook, a swapped-in delta prefetcher,
+// an L1-D predictor, and two hardware contexts sharing it.
+func reuseSpecs(t *testing.T) (names []string, specs []Options) {
+	w := spec(t, "server-kvstore-00")
+	amti := constable.DefaultConfig()
+	amti.InvalidateOnL1Evict = true
+	const n = 8000
+	return []string{"baseline", "constable-amt-i", "prefetch=delta", "l1dpred=counter", "smt2"},
+		[]Options{
+			{Workload: w, Instructions: n},
+			{Workload: w, Instructions: n, Mech: Mechanism{Constable: true, ConstableConfig: &amti}},
+			{Workload: w, Instructions: n, Mech: Mechanism{Prefetch: "delta"}},
+			{Workload: w, Instructions: n, Mech: Mechanism{L1DPred: "counter"}},
+			{Workload: w, Instructions: n, Threads: 2},
+		}
+}
+
+func runSpecs(t *testing.T, specs []Options) []*RunResult {
+	t.Helper()
+	out := make([]*RunResult, len(specs))
+	for i, o := range specs {
+		r, err := Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = r
+	}
+	return out
+}
+
+// TestRunIndependentOfPreviousRun checks that a run's result does not depend
+// on which run used the pooled hierarchy before it: every spec, run right
+// after each of the others, reproduces its first result exactly.
+func TestRunIndependentOfPreviousRun(t *testing.T) {
+	names, specs := reuseSpecs(t)
+	want := runSpecs(t, specs)
+	for i := range specs {
+		for j := range specs {
+			if i == j {
+				continue
+			}
+			got := runSpecs(t, []Options{specs[j], specs[i]})[1]
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("%s after %s: result differs from its first run", names[i], names[j])
+			}
+		}
+	}
+}
+
+// TestConcurrentRunsIndependentOfPreviousRun is the concurrent form: runs
+// on several goroutines take and return hierarchies through the pool in
+// interleaved order, and every result still matches its sequential run.
+func TestConcurrentRunsIndependentOfPreviousRun(t *testing.T) {
+	names, specs := reuseSpecs(t)
+	want := runSpecs(t, specs)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 2 * len(specs) {
+				i := (g + k) % len(specs)
+				got, err := Run(specs[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("goroutine %d: %s differs from its sequential run", g, names[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestShortRunSetupAllocations bounds what a short baseline run allocates
+// once the hierarchy pool is warm. Building a fresh default hierarchy alone
+// allocates about 1.3 MB, so a run that stops reusing hierarchies fails here.
+func TestShortRunSetupAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	opts := Options{Workload: spec(t, "server-kvstore-00"), Instructions: 4000}
+	runSpecs(t, []Options{opts, opts, opts})
+	var per []uint64
+	for range 9 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		runSpecs(t, []Options{opts})
+		runtime.ReadMemStats(&after)
+		per = append(per, after.TotalAlloc-before.TotalAlloc)
+	}
+	slices.Sort(per)
+	const limit = 3 << 19 // 1.5 MiB
+	median := per[len(per)/2]
+	t.Logf("a warmed 4000-instruction run allocates %s (median of %d)", mib(median), len(per))
+	if median > limit {
+		t.Errorf("a warmed 4000-instruction run allocates %s (median of %d), want at most %s",
+			mib(median), len(per), mib(limit))
+	}
+}
+
+func mib(b uint64) string { return fmt.Sprintf("%.2f MiB", float64(b)/(1<<20)) }

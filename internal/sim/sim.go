@@ -258,6 +258,13 @@ func StableAnalysis(spec *workload.Spec, apx bool, n uint64) (*inspector.Inspect
 	return ins, nil
 }
 
+// hierarchies recycles default memory hierarchies across runs: building one
+// allocates about 1.3 MB, while Reset restores a used one to the same state
+// in place. Run resets each hierarchy before returning it to the pool.
+var hierarchies = sync.Pool{New: func() any {
+	return cache.NewHierarchy(cache.DefaultHierarchyConfig())
+}}
+
 // Run executes one simulation and returns its result. It returns an error if
 // the workload cannot be built or the golden check fails.
 func Run(opts Options) (*RunResult, error) {
@@ -290,7 +297,11 @@ func Run(opts Options) (*RunResult, error) {
 		streams[i] = st
 	}
 
-	hier := cache.NewHierarchy(cache.DefaultHierarchyConfig())
+	hier := hierarchies.Get().(*cache.Hierarchy)
+	defer func() {
+		hier.Reset()
+		hierarchies.Put(hier)
+	}()
 	core := pipeline.NewCore(cfg, att, hier, streams...)
 
 	// Generous cycle bound: IPC below 0.05 would indicate a deadlock.
