@@ -179,6 +179,28 @@ func New(cfg Config) *Predictor {
 	return p
 }
 
+// Reset returns p to the state New(p.Config()) builds, clearing the bimodal
+// and tagged tables, the global and folded histories, the BTB, the RAS and
+// the counters in place.
+func (p *Predictor) Reset() {
+	clear(p.bimodal)
+	for _, t := range p.tables {
+		clear(t)
+	}
+	clear(p.foldIdx)
+	clear(p.foldTag)
+	clear(p.btb)
+	*p = Predictor{
+		cfg:     p.cfg,
+		bimodal: p.bimodal,
+		tables:  p.tables,
+		foldIdx: p.foldIdx,
+		foldTag: p.foldTag,
+		btb:     p.btb,
+		ras:     p.ras[:0],
+	}
+}
+
 // Config returns the configuration the predictor was built from.
 func (p *Predictor) Config() Config { return p.cfg }
 

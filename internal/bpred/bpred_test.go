@@ -2,6 +2,7 @@ package bpred
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"constable/internal/isa"
@@ -239,5 +240,30 @@ func TestShortHistoryTageLearnsShortPatterns(t *testing.T) {
 	}
 	if wrongLate > 30 {
 		t.Errorf("2-table TAGE alternation mispredicts = %d/300", wrongLate)
+	}
+}
+
+// TestResetMatchesNew trains every structure (direction tables, history,
+// BTB, RAS, counters), then checks Reset leaves exactly what New builds.
+func TestResetMatchesNew(t *testing.T) {
+	for name, cfg := range map[string]Config{"tage": DefaultConfig(), "bimodal": BimodalConfig()} {
+		t.Run(name, func(t *testing.T) {
+			p := New(cfg)
+			rng := rand.New(rand.NewSource(7))
+			for i := 0; i < 5000; i++ {
+				pc := 0x400000 + uint64(rng.Intn(512))*isa.InstBytes
+				taken := rng.Intn(3) != 0
+				p.PredictDirection(pc)
+				p.UpdateDirection(pc, taken)
+				p.UpdateTarget(pc, []isa.Op{isa.OpBranch, isa.OpCall, isa.OpRet}[i%3], pc+64)
+			}
+			if reflect.DeepEqual(p, New(cfg)) {
+				t.Fatal("training left the predictor in its fresh state")
+			}
+			p.Reset()
+			if !reflect.DeepEqual(p, New(cfg)) {
+				t.Error("Reset does not restore the state New builds")
+			}
+		})
 	}
 }

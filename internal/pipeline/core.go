@@ -111,6 +111,33 @@ func (t *threadState) reclaimLimbo() {
 	}
 }
 
+// recycle empties t for reuse by Core.Reset: every uop still in the IDQ,
+// ROB or limbo goes back on the free list, every other queue, heap and
+// rename-table slot drops its pointers, and the stream and ELAR tracker are
+// let go. Only the buffers and the free list survive.
+func (t *threadState) recycle() {
+	for _, r := range []*ring[*uop]{&t.idq, &t.rob, &t.limbo} {
+		for r.len() > 0 {
+			t.free = append(t.free, r.popFront())
+		}
+	}
+	t.lb.truncate(0)
+	t.sb.truncate(0)
+	t.window.truncate(0)
+	*t = threadState{
+		window:    t.window,
+		idq:       t.idq,
+		rob:       t.rob,
+		lb:        t.lb,
+		sb:        t.sb,
+		readyQ:    withRoom(t.readyQ, 0),
+		readyHeap: eventHeap{a: withRoom(t.readyHeap.a, 0)},
+		events:    eventHeap{a: withRoom(t.events.a, 0)},
+		free:      t.free,
+		limbo:     t.limbo,
+	}
+}
+
 // memDepEntry is a store-set-style conflict predictor entry.
 type memDepEntry struct {
 	pc    uint64
@@ -135,7 +162,12 @@ type Core struct {
 
 	hier *cache.Hierarchy
 	bp   *bpred.Predictor
+	// defaultBP is the core's own TAGE predictor, used when att.BPred is nil
+	// and kept across Reset calls.
+	defaultBP *bpred.Predictor
 
+	// threads[len:cap] may hold the contexts of an earlier, wider run,
+	// kept for Reset to reuse.
 	threads []*threadState
 
 	cycle    uint64
@@ -143,7 +175,7 @@ type Core struct {
 	prfInUse int
 
 	// Attachment dispatch flags and per-thread structure capacities,
-	// resolved once in NewCore so the per-uop hot paths branch on plain
+	// resolved once in Reset so the per-uop hot paths branch on plain
 	// booleans/ints instead of re-deriving them (nil checks, Config()
 	// struct copies, divisions) every cycle.
 	hasConstable  bool
@@ -182,8 +214,6 @@ type Core struct {
 	flushBuf []*uop
 	srcsBuf  [2]isa.Reg
 
-	// loadPortStableUse marks, for the current cycle, whether any issued
-	// load on a port was global-stable (Fig. 6 accounting).
 	Stats Stats
 
 	err error
@@ -200,24 +230,55 @@ const (
 
 // NewCore builds a core over the given hierarchy and per-thread streams.
 func NewCore(cfg Config, att Attachments, hier *cache.Hierarchy, streams ...Stream) *Core {
+	c := new(Core)
+	c.Reset(cfg, att, hier, streams...)
+	return c
+}
+
+// Reset makes c the core NewCore(cfg, att, hier, streams...) would build,
+// keeping the buffers it has already grown: every uop still in an IDQ, ROB or
+// limbo list goes back on its thread's free list, the rings, ready queues and
+// heaps are emptied in place, the memory-dependence and MRN tables are
+// cleared in place, and thread contexts are reused up to len(streams). With
+// att.BPred nil the core's own default predictor is reset rather than
+// rebuilt. hier must be fresh or reset (see cache.Hierarchy.Reset); Reset
+// attaches the L1-D prefetcher, L1-D predictor and AMT-I eviction hook to it.
+//
+// Reset restarts every thread's seqCounter at 0, so the seq snapshots that
+// lazily invalidate completion events, ready-heap entries and waiter
+// registrations can no longer tell a stale entry of the previous run from a
+// live one. Reset therefore empties events, readyHeap and readyQ outright;
+// uop.reset drops a recycled uop's stale waiters.
+func (c *Core) Reset(cfg Config, att Attachments, hier *cache.Hierarchy, streams ...Stream) {
 	if cfg.Threads != len(streams) {
 		panic(fmt.Sprintf("pipeline: config has %d threads but %d streams supplied", cfg.Threads, len(streams)))
 	}
+	for _, t := range c.threads {
+		t.recycle()
+	}
 	bp := att.BPred
 	if bp == nil {
-		bp = bpred.New(bpred.DefaultConfig())
+		if c.defaultBP == nil {
+			c.defaultBP = bpred.New(bpred.DefaultConfig())
+		} else {
+			c.defaultBP.Reset()
+		}
+		bp = c.defaultBP
 	}
-	c := &Core{
+	*c = Core{
 		cfg:       cfg,
 		att:       att,
 		hier:      hier,
 		bp:        bp,
-		aluPorts:  make([]uint64, cfg.NumALUPorts),
-		loadPorts: make([]uint64, cfg.NumLoadPorts),
-		staPorts:  make([]uint64, cfg.NumStaPorts),
-		stdPorts:  make([]uint64, cfg.NumStdPorts),
-		memDep:    make([]memDepEntry, 4096),
-		mrn:       make([]mrnEntry, 4096),
+		defaultBP: c.defaultBP,
+		threads:   c.threads,
+		aluPorts:  zeroed(c.aluPorts, cfg.NumALUPorts),
+		loadPorts: zeroed(c.loadPorts, cfg.NumLoadPorts),
+		staPorts:  zeroed(c.staPorts, cfg.NumStaPorts),
+		stdPorts:  zeroed(c.stdPorts, cfg.NumStdPorts),
+		memDep:    zeroed(c.memDep, 4096),
+		mrn:       zeroed(c.mrn, 4096),
+		flushBuf:  c.flushBuf[:0],
 	}
 	c.Stats.EliminatedByMode = make(map[string]uint64)
 	c.Stats.RetiredStableByMode = make(map[string]uint64)
@@ -246,17 +307,26 @@ func NewCore(cfg Config, att Attachments, hier *cache.Hierarchy, streams ...Stre
 	c.sbCap = cfg.SBSize / len(streams)
 	c.prfCap = cfg.IntPRF - isa.NumRegsAPX
 
+	if n := len(streams); cap(c.threads) < n {
+		c.threads = append(c.threads[:cap(c.threads)], make([]*threadState, n-cap(c.threads))...)
+	}
+	c.threads = c.threads[:len(streams)]
 	for i, s := range streams {
-		t := &threadState{index: i, stream: s}
-		t.window = newRing[isa.DynInst](256)
-		t.idq = newRing[*uop](c.idqCap)
-		t.rob = newRing[*uop](c.robCap)
-		t.lb = newRing[*uop](c.lbCap)
-		t.sb = newRing[*uop](c.sbCap)
-		t.readyQ = make([]*uop, 0, cfg.RSSize)
-		t.readyHeap.a = make([]completionEvent, 0, cfg.RSSize)
-		t.events.a = make([]completionEvent, 0, c.robCap)
-		t.limbo = newRing[*uop](c.robCap)
+		if c.threads[i] == nil {
+			c.threads[i] = new(threadState)
+		}
+		t := c.threads[i]
+		t.index = i
+		t.stream = s
+		t.window.reset(256)
+		t.idq.reset(c.idqCap)
+		t.rob.reset(c.robCap)
+		t.lb.reset(c.lbCap)
+		t.sb.reset(c.sbCap)
+		t.limbo.reset(c.robCap)
+		t.readyQ = withRoom(t.readyQ, cfg.RSSize)
+		t.readyHeap.a = withRoom(t.readyHeap.a, cfg.RSSize)
+		t.events.a = withRoom(t.events.a, c.robCap)
 		if att.ELAR != nil {
 			// ELAR state is per hardware context: thread 0 uses the caller's
 			// instance (so its counters are observable), extra threads get
@@ -267,7 +337,6 @@ func NewCore(cfg Config, att Attachments, hier *cache.Hierarchy, streams ...Stre
 				t.elar = vpred.NewELAR()
 			}
 		}
-		c.threads = append(c.threads, t)
 	}
 	// Constable-AMT-I: hook the L1-D eviction stream.
 	if att.Constable != nil && att.Constable.Config().InvalidateOnL1Evict {
@@ -279,7 +348,40 @@ func NewCore(cfg Config, att Attachments, hier *cache.Hierarchy, streams ...Stre
 			}
 		}
 	}
-	return c
+}
+
+// Release drops the core's references to what NewCore or Reset was given —
+// the streams, the attachments, the extra ELAR trackers, a passed-in branch
+// predictor and the hierarchy — and returns every in-flight uop to its
+// thread's free list, so a parked core pins only its own buffers. Stats stay
+// readable; the core runs again only after a Reset.
+func (c *Core) Release() {
+	for _, t := range c.threads {
+		t.recycle()
+	}
+	c.att = Attachments{}
+	c.hier = nil
+	c.bp = nil
+}
+
+// zeroed returns s resized to n zero elements, reusing its array when it is
+// large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// withRoom returns s emptied, with its elements zeroed and room for n.
+func withRoom[T any](s []T, n int) []T {
+	clear(s)
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // Hierarchy returns the core's memory hierarchy.

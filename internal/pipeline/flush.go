@@ -107,5 +107,4 @@ func (c *Core) rebuildLastWriter(t *threadState) {
 			t.lastWriter[u.dyn.Dst] = u
 		}
 	}
-	_ = isa.RegNone
 }

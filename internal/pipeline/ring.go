@@ -27,6 +27,17 @@ func newRing[T any](capacity int) ring[T] {
 	return ring[T]{buf: make([]T, c), mask: uint64(c - 1)}
 }
 
+// reset empties the ring, zeroing the slots it held, and makes room for at
+// least capacity entries, keeping the buffer when it is large enough.
+func (r *ring[T]) reset(capacity int) {
+	if r.buf == nil || len(r.buf) < capacity {
+		*r = newRing[T](capacity)
+		return
+	}
+	r.truncate(0)
+	r.head = 0
+}
+
 func (r *ring[T]) len() int { return r.n }
 
 // at returns the entry at logical index i (0 = oldest).

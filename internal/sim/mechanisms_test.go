@@ -203,12 +203,12 @@ func TestQualifiedMechanismNames(t *testing.T) {
 
 func TestQualifiedMechanismNameErrors(t *testing.T) {
 	for _, name := range []string{
-		"constable,bpred=gshare",      // unknown variant
-		"constable,warp=9",            // unknown axis
-		"constable,bpred",             // malformed term
-		"warp-drive,bpred=bimodal",    // unknown preset
-		"constable,prefetch=bimodal",  // variant of the wrong axis
-		"constable,l1dpred=stride",    // variant of the wrong axis
+		"constable,bpred=gshare",     // unknown variant
+		"constable,warp=9",           // unknown axis
+		"constable,bpred",            // malformed term
+		"warp-drive,bpred=bimodal",   // unknown preset
+		"constable,prefetch=bimodal", // variant of the wrong axis
+		"constable,l1dpred=stride",   // variant of the wrong axis
 	} {
 		if _, err := MechanismByName(name); err == nil {
 			t.Errorf("MechanismByName(%q) must error", name)

@@ -9,23 +9,34 @@ import (
 	"testing"
 
 	"constable/internal/constable"
+	"constable/internal/pipeline"
 )
 
 // reuseSpecs are runs that between them leave every kind of state on the
-// pooled hierarchy: an AMT-I eviction hook, a swapped-in delta prefetcher,
-// an L1-D predictor, and two hardware contexts sharing it.
+// pooled core and hierarchy: an AMT-I eviction hook, a swapped-in delta
+// prefetcher, an L1-D predictor, two hardware contexts (one pair with
+// per-thread ELAR trackers), stacked EVES and Constable attachments, a
+// passed-in branch predictor and a core with half the ROB and RS.
 func reuseSpecs(t *testing.T) (names []string, specs []Options) {
 	w := spec(t, "server-kvstore-00")
 	amti := constable.DefaultConfig()
 	amti.InvalidateOnL1Evict = true
+	small := pipeline.DefaultConfig()
+	small.ROBSize /= 2
+	small.RSSize /= 2
 	const n = 8000
-	return []string{"baseline", "constable-amt-i", "prefetch=delta", "l1dpred=counter", "smt2"},
+	return []string{"baseline", "constable-amt-i", "prefetch=delta", "l1dpred=counter", "smt2",
+			"eves+constable", "elar-smt2", "bpred=bimodal", "half-rob-rs"},
 		[]Options{
 			{Workload: w, Instructions: n},
 			{Workload: w, Instructions: n, Mech: Mechanism{Constable: true, ConstableConfig: &amti}},
 			{Workload: w, Instructions: n, Mech: Mechanism{Prefetch: "delta"}},
 			{Workload: w, Instructions: n, Mech: Mechanism{L1DPred: "counter"}},
 			{Workload: w, Instructions: n, Threads: 2},
+			{Workload: w, Instructions: n, Mech: Mechanism{EVES: true, Constable: true}},
+			{Workload: w, Instructions: n, Threads: 2, Mech: Mechanism{ELAR: true}},
+			{Workload: w, Instructions: n, Mech: Mechanism{BPred: "bimodal"}},
+			{Workload: w, Instructions: n, Core: &small},
 		}
 }
 
@@ -89,8 +100,9 @@ func TestConcurrentRunsIndependentOfPreviousRun(t *testing.T) {
 }
 
 // TestShortRunSetupAllocations bounds what a short baseline run allocates
-// once the hierarchy pool is warm. Building a fresh default hierarchy alone
-// allocates about 1.3 MB, so a run that stops reusing hierarchies fails here.
+// once the pool is warm. Building a fresh default hierarchy alone allocates
+// about 1.3 MB and a fresh core about 0.9 MB, so a run that stops reusing
+// either fails here.
 func TestShortRunSetupAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -106,7 +118,7 @@ func TestShortRunSetupAllocations(t *testing.T) {
 		per = append(per, after.TotalAlloc-before.TotalAlloc)
 	}
 	slices.Sort(per)
-	const limit = 3 << 19 // 1.5 MiB
+	const limit = 128 << 10 // 128 KiB
 	median := per[len(per)/2]
 	t.Logf("a warmed 4000-instruction run allocates %s (median of %d)", mib(median), len(per))
 	if median > limit {
@@ -115,4 +127,4 @@ func TestShortRunSetupAllocations(t *testing.T) {
 	}
 }
 
-func mib(b uint64) string { return fmt.Sprintf("%.2f MiB", float64(b)/(1<<20)) }
+func mib(b uint64) string { return fmt.Sprintf("%.3f MiB", float64(b)/(1<<20)) }
