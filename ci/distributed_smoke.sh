@@ -98,7 +98,7 @@ check_sharding() { # base-url tag
 }
 
 say "starting batched dispatch-only server (:$SERVER_PORT) + 2 workers"
-boot_cluster batched "$SERVER_PORT" "-hedge-after 2s" "$W1_PORT" "$W2_PORT"
+boot_cluster batched "$SERVER_PORT" "" "$W1_PORT" "$W2_PORT"
 
 say "running batched distributed sweep (9 cells across 2 workers)"
 run_sweep "http://127.0.0.1:$SERVER_PORT" "$workdir/batched.ndjson"

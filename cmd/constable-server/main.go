@@ -85,7 +85,6 @@ func main() {
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
 		queueMax  = flag.Int("queue-max", 0, "per-class queued-job watermark for admission control: over it, submissions get 429 + Retry-After; batch classes (sweeps) are exempt up to 64x this (0 disables)")
 		weights   = flag.String("class-weights", "", "fair-share dispatch weight overrides, comma-separated name=weight (defaults interactive=8,batch=1,default=4)")
-		hedge     = flag.Duration("hedge-after", 0, "duplicate a straggler cell onto a second backend after this long once the queue drains; first verified result wins (0 disables)")
 	)
 	flag.Parse()
 
@@ -99,7 +98,7 @@ func main() {
 	}
 	cfg := service.Config{Workers: *workers, CacheSize: *cacheSize, DataDir: *dataDir,
 		WorkerTTL: *workerTTL, MaxBatch: *batch, MaxBody: *maxBody, MaxTraceBody: *maxTrace,
-		QueueMax: *queueMax, ClassWeights: classWeights, HedgeAfter: *hedge}
+		QueueMax: *queueMax, ClassWeights: classWeights}
 	if *resultsAt != "" {
 		cfg.Share = service.NewRemoteResultStore(*resultsAt)
 	}

@@ -182,14 +182,18 @@ func TestChunkRequeueDropsAbandonedCells(t *testing.T) {
 	name := testWorkload(t)
 
 	gate := make(chan struct{})
+	var gateOnce sync.Once
+	openGate := func() { gateOnce.Do(func() { close(gate) }) }
+	t.Cleanup(openGate)
 	doomed := &batchRecorder{
 		name: "doomed", cap: 3, gate: gate,
 		chunkErr: func(int) error {
 			return fmt.Errorf("%w: worker killed mid-chunk", ErrBackendUnavailable)
 		},
 	}
-	s.Backend().AddWorker("doomed", "fake://doomed", doomed.cap, doomed)
 
+	// The cells queue before the worker registers, so they go out as one
+	// chunk.
 	var jobs []*Job
 	for i := 0; i < 3; i++ {
 		j, err := s.Submit(JobSpec{Workload: name, Instructions: uint64(3000 + i)})
@@ -198,6 +202,7 @@ func TestChunkRequeueDropsAbandonedCells(t *testing.T) {
 		}
 		jobs = append(jobs, j)
 	}
+	s.Backend().AddWorker("doomed", "fake://doomed", doomed.cap, doomed)
 
 	// Wait for the whole chunk (3 cells ≤ the capacity-3 grant) to be in
 	// flight.
@@ -217,7 +222,7 @@ func TestChunkRequeueDropsAbandonedCells(t *testing.T) {
 	s.Abandon(jobs[1].ID)
 	honest := &batchRecorder{name: "honest", cap: 3}
 	s.Backend().AddWorker("honest", "fake://honest", honest.cap, honest)
-	close(gate)
+	openGate()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -602,5 +607,5 @@ func TestStoreHitResultIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("LRU hit after promotion", lru)
-	check("lookupResult", second.lookupResult(j.Hash))
+	check("quiet lookup", second.results.lookup(j.Hash, false))
 }

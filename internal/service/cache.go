@@ -9,13 +9,13 @@ import (
 
 // resultCache is a thread-safe LRU cache of simulation results keyed by
 // JobSpec hash. The cache owns its entries exclusively: Add stores a deep
-// copy of the inserted result and Get returns a deep copy of the stored one,
+// copy of the inserted result and get returns a deep copy of the stored one,
 // so a caller mutating a result it submitted or received can never corrupt
 // what later hits observe (the aliasing bug this replaces handed every hit
 // the same shared pointer).
 //
 // Capacity semantics: a non-positive capacity disables the cache entirely
-// (Add is a no-op, Get always misses). Defaulting of the zero value to a
+// (Add is a no-op, get always misses). Defaulting of the zero value to a
 // real capacity is the constructor's job (Config.CacheSize: 0 → 1024), not
 // the cache's.
 type resultCache struct {
@@ -40,42 +40,24 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-// Get returns a deep copy of the cached result for key, promoting the entry
-// to most recently used.
-func (c *resultCache) Get(key string) (*sim.RunResult, bool) {
+// get returns a deep copy of the cached result for key. A counted read
+// (Submit's lookup) also counts the hit or miss and promotes the entry to
+// most recently used; a quiet read does neither, so probes that are not
+// submissions cannot distort the hit rate submitters see.
+func (c *resultCache) get(key string, counted bool) (*sim.RunResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
-	if !ok {
+	if counted && ok {
+		c.hits++
+		c.order.MoveToFront(el)
+	} else if counted {
 		c.misses++
-		return nil, false
 	}
-	c.hits++
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).res.Clone(), true
-}
-
-// peek returns a deep copy of the cached result for key without promoting
-// the entry or touching the hit/miss counters — the dispatch-time
-// short-circuit probe, which runs once per dispatched cell and must not
-// distort the cache-hit-rate metric submitters see.
-func (c *resultCache) peek(key string) (*sim.RunResult, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
 	if !ok {
 		return nil, false
 	}
 	return el.Value.(*cacheEntry).res.Clone(), true
-}
-
-// Has reports whether key is cached, without promoting, copying, or
-// counting — the PUT /v1/results handler's idempotency probe.
-func (c *resultCache) Has(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key]
-	return ok
 }
 
 // Add stores a deep copy of res under key, evicting the least recently used

@@ -20,13 +20,13 @@ func TestCacheEviction(t *testing.T) {
 	}
 	// k0, k1 evicted; k2..k4 resident.
 	for _, k := range []string{"k0", "k1"} {
-		if _, ok := c.Get(k); ok {
+		if _, ok := c.get(k, true); ok {
 			t.Errorf("%s still cached after eviction", k)
 		}
 	}
 	for i := 2; i < 5; i++ {
 		k := fmt.Sprintf("k%d", i)
-		res, ok := c.Get(k)
+		res, ok := c.get(k, true)
 		if !ok || res.Cycles != uint64(i) {
 			t.Errorf("%s: got %v, %v", k, res, ok)
 		}
@@ -37,12 +37,13 @@ func TestCacheLRUOrder(t *testing.T) {
 	c := newResultCache(2)
 	c.Add("a", &sim.RunResult{})
 	c.Add("b", &sim.RunResult{})
-	c.Get("a") // promote a; b is now LRU
+	c.get("a", true)  // promote a; b is now LRU
+	c.get("b", false) // a quiet read does not promote b
 	c.Add("c", &sim.RunResult{})
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.get("a", true); !ok {
 		t.Error("recently used entry evicted")
 	}
-	if _, ok := c.Get("b"); ok {
+	if _, ok := c.get("b", true); ok {
 		t.Error("least recently used entry survived")
 	}
 }
@@ -50,9 +51,11 @@ func TestCacheLRUOrder(t *testing.T) {
 func TestCacheHitRate(t *testing.T) {
 	c := newResultCache(8)
 	c.Add("x", &sim.RunResult{})
-	c.Get("x")
-	c.Get("x")
-	c.Get("y")
+	c.get("x", true)
+	c.get("x", true)
+	c.get("y", true)
+	c.get("x", false) // quiet reads count neither hits nor misses
+	c.get("y", false)
 	hits, misses := c.Stats()
 	if hits != 2 || misses != 1 {
 		t.Errorf("hits=%d misses=%d, want 2/1", hits, misses)
@@ -63,7 +66,7 @@ func TestCacheDisabled(t *testing.T) {
 	for _, capacity := range []int{-1, 0} {
 		c := newResultCache(capacity)
 		c.Add("a", &sim.RunResult{})
-		if _, ok := c.Get("a"); ok {
+		if _, ok := c.get("a", true); ok {
 			t.Errorf("cache with capacity %d stored an entry", capacity)
 		}
 	}
@@ -90,7 +93,7 @@ func TestCacheHitsAreIsolated(t *testing.T) {
 	orig.Mechanisms[0].Counters["constable.eliminated"] = 1
 	orig.Pipeline.EliminatedByMode["base+disp"] = 1
 
-	first, ok := c.Get("k")
+	first, ok := c.get("k", true)
 	if !ok {
 		t.Fatal("miss")
 	}
@@ -104,7 +107,7 @@ func TestCacheHitsAreIsolated(t *testing.T) {
 	first.Mechanisms[0].Counters["constable.eliminated"] = 2
 	first.Pipeline.EliminatedByMode["base+disp"] = 2
 
-	second, ok := c.Get("k")
+	second, ok := c.get("k", true)
 	if !ok {
 		t.Fatal("miss")
 	}
@@ -132,7 +135,7 @@ func TestCacheConcurrentHitMutation(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				res, ok := c.Get("k")
+				res, ok := c.get("k", true)
 				if !ok {
 					t.Error("miss")
 					return

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 
@@ -275,169 +274,6 @@ func TestTenantDoesNotAffectHash(t *testing.T) {
 	}
 	if ha != hb || ha != hn {
 		t.Errorf("tenant leaked into the spec hash: %s / %s / %s", ha, hb, hn)
-	}
-}
-
-// scriptBackend is a ctx-aware Backend whose behavior is keyed on the
-// global call number — shared across two registered workers, it makes hedge
-// tests deterministic no matter which slot the dispatcher picks as primary.
-type scriptBackend struct {
-	mu    sync.Mutex
-	calls int
-	fn    func(call int, ctx context.Context, spec JobSpec) (*sim.RunResult, error)
-}
-
-func (b *scriptBackend) Name() string  { return "script" }
-func (b *scriptBackend) Capacity() int { return 1 }
-func (b *scriptBackend) Execute(ctx context.Context, spec JobSpec, hash string) (*sim.RunResult, error) {
-	b.mu.Lock()
-	b.calls++
-	n := b.calls
-	b.mu.Unlock()
-	return b.fn(n, ctx, spec)
-}
-func (b *scriptBackend) ExecuteBatch(ctx context.Context, specs []JobSpec, hashes []string) ([]BatchResult, error) {
-	out := make([]BatchResult, len(specs))
-	for i := range specs {
-		res, err := b.Execute(ctx, specs[i], hashes[i])
-		out[i] = BatchResult{Result: res, Err: err}
-	}
-	return out, nil
-}
-
-func newHedgeScheduler(t *testing.T, sb *scriptBackend) *Scheduler {
-	t.Helper()
-	s, err := Open(Config{Workers: -1, WorkerTTL: time.Hour, HedgeAfter: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	s.Backend().AddWorker("w1", "fake://w1", 1, sb)
-	s.Backend().AddWorker("w2", "fake://w2", 1, sb)
-	return s
-}
-
-// TestHedgeBeatsWedgedPrimary: a straggling remote dispatch is duplicated
-// onto the second worker after HedgeAfter; the hedge's result wins, the
-// primary's request is canceled, and neither worker is demoted.
-func TestHedgeBeatsWedgedPrimary(t *testing.T) {
-	sb := &scriptBackend{}
-	sb.fn = func(call int, ctx context.Context, spec JobSpec) (*sim.RunResult, error) {
-		if call == 1 {
-			// The primary wedges until its request is canceled.
-			<-ctx.Done()
-			return nil, ctx.Err()
-		}
-		return okResult(spec, "")
-	}
-	s := newHedgeScheduler(t, sb)
-	name := testWorkload(t)
-
-	j, err := s.Submit(JobSpec{Workload: name, Instructions: 7777})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	res, err := j.Wait(ctx)
-	if err != nil {
-		t.Fatalf("hedged job failed: %v", err)
-	}
-	if res.Cycles != 7777 {
-		t.Errorf("result cycles = %d, want 7777", res.Cycles)
-	}
-	m := s.Metrics()
-	if m.HedgesDispatched != 1 || m.HedgesWon != 1 || m.HedgesLost != 0 {
-		t.Errorf("hedge stats = dispatched %d won %d lost %d, want 1/1/0",
-			m.HedgesDispatched, m.HedgesWon, m.HedgesLost)
-	}
-	// The canceled primary must not demote its worker: the cancellation was
-	// ours, not a worker fault.
-	for _, v := range s.Workers() {
-		if !v.Healthy {
-			t.Errorf("worker %s demoted after losing a hedge race", v.Name)
-		}
-	}
-}
-
-// TestHedgeLosesToPrimary: the primary answers first; the in-flight hedge
-// is counted lost and its request abandoned.
-func TestHedgeLosesToPrimary(t *testing.T) {
-	sb := &scriptBackend{}
-	sb.fn = func(call int, ctx context.Context, spec JobSpec) (*sim.RunResult, error) {
-		if call == 1 {
-			select {
-			case <-time.After(100 * time.Millisecond):
-				return okResult(spec, "")
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		// The hedge wedges; it only unblocks when abandoned.
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}
-	s := newHedgeScheduler(t, sb)
-	name := testWorkload(t)
-
-	j, err := s.Submit(JobSpec{Workload: name, Instructions: 8888})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	res, err := j.Wait(ctx)
-	if err != nil {
-		t.Fatalf("job failed: %v", err)
-	}
-	if res.Cycles != 8888 {
-		t.Errorf("result cycles = %d, want 8888", res.Cycles)
-	}
-	m := s.Metrics()
-	if m.HedgesDispatched != 1 || m.HedgesWon != 0 || m.HedgesLost != 1 {
-		t.Errorf("hedge stats = dispatched %d won %d lost %d, want 1/0/1",
-			m.HedgesDispatched, m.HedgesWon, m.HedgesLost)
-	}
-}
-
-// TestHedgeRescuesFailedPrimary: the primary dies at the transport level
-// with a hedge already in flight — the hedge's result saves the cell
-// instead of requeueing it.
-func TestHedgeRescuesFailedPrimary(t *testing.T) {
-	sb := &scriptBackend{}
-	sb.fn = func(call int, ctx context.Context, spec JobSpec) (*sim.RunResult, error) {
-		if call == 1 {
-			select {
-			case <-time.After(40 * time.Millisecond):
-			case <-ctx.Done():
-			}
-			return nil, fmt.Errorf("%w: connection reset", ErrBackendUnavailable)
-		}
-		select {
-		case <-time.After(60 * time.Millisecond):
-			return okResult(spec, "")
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	s := newHedgeScheduler(t, sb)
-	name := testWorkload(t)
-
-	j, err := s.Submit(JobSpec{Workload: name, Instructions: 6543})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	res, err := j.Wait(ctx)
-	if err != nil {
-		t.Fatalf("job failed despite hedge rescue: %v", err)
-	}
-	if res.Cycles != 6543 {
-		t.Errorf("result cycles = %d, want 6543", res.Cycles)
-	}
-	if m := s.Metrics(); m.HedgesWon != 1 {
-		t.Errorf("hedges won = %d, want 1 (the hedge saved the cell)", m.HedgesWon)
 	}
 }
 

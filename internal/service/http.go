@@ -344,11 +344,13 @@ func routesFor(s *Scheduler) []apiRoute {
 			// The cluster-wide result store, keyed by JobSpec content hash:
 			// workers consult it before simulating a dispatched cell, so a
 			// popular cell is simulated once per cluster, not once per
-			// worker. Answers from the LRU or the persistent store; the
+			// worker. A quiet read of the LRU and the persistent store: the
+			// endpoint keeps its own store_remote counters, and serving a
+			// peer must not move the local cache and store hit rates. The
 			// envelope's recorded hash lets the caller verify what it got
 			// against what it asked for.
 			hash := r.PathValue("hash")
-			res := s.lookupResult(hash)
+			res := s.results.lookup(hash, false)
 			if res == nil {
 				s.metrics.remoteMisses.Add(1)
 				httpError(w, http.StatusNotFound, "no result for hash "+hash)
@@ -376,16 +378,8 @@ func routesFor(s *Scheduler) []apiRoute {
 				httpError(w, http.StatusBadRequest, "rejected write-back: "+err.Error())
 				return
 			}
-			existed := s.cache.Has(hash)
-			if s.store != nil {
-				existed = existed || s.store.Has(hash)
-			}
-			s.cache.Add(hash, res)
-			if s.store != nil {
-				// Best-effort like every other store write: a full disk
-				// degrades the write-back to LRU-only visibility.
-				_ = s.store.Save(hash, res)
-			}
+			existed := s.results.lookup(hash, false) != nil
+			s.results.put(hash, res, false)
 			s.metrics.remoteWritebacks.Add(1)
 			status := http.StatusCreated
 			if existed {

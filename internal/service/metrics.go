@@ -135,13 +135,8 @@ type MetricsSnapshot struct {
 
 	// Fair-share scheduling families. AdmissionRejected counts submissions
 	// refused because their class queue sat at its watermark; Classes
-	// breaks queueing down per scheduling class. Hedge counters track
-	// straggler hedging: duplicates launched, duplicates that beat (or
-	// saved) their primary, duplicates wasted.
+	// breaks queueing down per scheduling class.
 	AdmissionRejected uint64         `json:"admission_rejected"`
-	HedgesDispatched  uint64         `json:"hedges_dispatched"`
-	HedgesWon         uint64         `json:"hedges_won"`
-	HedgesLost        uint64         `json:"hedges_lost"`
 	Classes           []ClassMetrics `json:"classes,omitempty"`
 }
 
@@ -168,7 +163,7 @@ type ClassMetrics struct {
 
 // Metrics returns a snapshot of the scheduler's counters.
 func (s *Scheduler) Metrics() MetricsSnapshot {
-	hits, misses := s.cache.Stats()
+	hits, misses := s.results.cache.Stats()
 	m := MetricsSnapshot{
 		JobsSubmitted: s.metrics.submitted.Load(),
 		JobsCompleted: s.metrics.completed.Load(),
@@ -193,15 +188,15 @@ func (s *Scheduler) Metrics() MetricsSnapshot {
 		BackendCapacity:   s.backend.Capacity(),
 		CacheHits:         hits,
 		CacheMisses:       misses,
-		CacheEntries:      s.cache.Len(),
+		CacheEntries:      s.results.cache.Len(),
 
 		SweepsStarted:   s.metrics.sweepsStarted.Load(),
 		SweepsCompleted: s.metrics.sweepsCompleted.Load(),
 		SweepsFailed:    s.metrics.sweepsFailed.Load(),
 		SweepsCanceled:  s.metrics.sweepsCanceled.Load(),
 	}
-	if s.store != nil {
-		st := s.store.Stats()
+	if s.results.store != nil {
+		st := s.results.store.Stats()
 		m.StoreHits = st.hits
 		m.StoreMisses = st.misses
 		m.StoreWrites = st.writes
@@ -232,7 +227,6 @@ func (s *Scheduler) Metrics() MetricsSnapshot {
 		m.SimInstructionsPerSec = float64(m.SimInstructions) / (float64(busy) / 1e9)
 	}
 	m.AdmissionRejected = s.metrics.admissionRejected.Load()
-	m.HedgesDispatched, m.HedgesWon, m.HedgesLost = s.backend.hedgeStats()
 	m.Classes = s.classMetrics()
 	return m
 }
@@ -314,9 +308,6 @@ func (m MetricsSnapshot) WriteTo(w io.Writer) (int64, error) {
 		{"sim_instructions_total", m.SimInstructions},
 		{"sim_instructions_per_second", m.SimInstructionsPerSec},
 		{"admission_rejected_total", m.AdmissionRejected},
-		{"hedges_dispatched_total", m.HedgesDispatched},
-		{"hedges_won_total", m.HedgesWon},
-		{"hedges_lost_total", m.HedgesLost},
 	} {
 		if err := write(row.name, row.value); err != nil {
 			return n, err

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"constable/internal/sim"
@@ -124,35 +123,14 @@ type MultiBackend struct {
 	// the dispatcher re-evaluates its gate.
 	onChange func()
 
-	// resultLookup, when set (the owning scheduler installs it at Open,
-	// before dispatch starts), resolves a JobSpec hash to an
-	// already-finished result so a chunk about to dispatch can short-circuit
-	// cells whose results landed — via a worker write-back or a peer process
-	// sharing the data-dir — after they were submitted. It must be cheap on
-	// a miss and must return a caller-owned copy on a hit.
+	// resultLookup, when set (the owning scheduler installs its quiet
+	// result-tier lookup at Open, before dispatch starts), resolves a
+	// JobSpec hash to an already-finished result so a chunk about to
+	// dispatch can short-circuit cells whose results landed — via a worker
+	// write-back or a peer process sharing the data-dir — after they were
+	// submitted. It must be cheap on a miss and must return a caller-owned
+	// copy on a hit.
 	resultLookup func(hash string) *sim.RunResult
-
-	// hedgeAfter, when positive, arms hedged dispatch: a single-cell
-	// dispatch to a remote worker that hasn't answered within hedgeAfter
-	// is duplicated onto the next-best slot, first verified result wins,
-	// the loser's request is canceled. hedgeGate (the owning scheduler
-	// installs it) reports whether hedging is currently worthwhile — only
-	// once the queue has drained, i.e. at a sweep tail, where a spare slot
-	// has no queued cell to serve instead. Both are assigned at Open,
-	// before dispatch starts; hedgeGate must be called without m.mu held.
-	hedgeAfter time.Duration
-	hedgeGate  func() bool
-
-	hedgesDispatched atomic.Uint64
-	hedgesWon        atomic.Uint64
-	hedgesLost       atomic.Uint64
-}
-
-// hedgeStats returns the cumulative hedged-dispatch counters: hedges
-// launched, hedges that beat (or saved) their primary, and hedges whose
-// primary answered first or that failed themselves.
-func (m *MultiBackend) hedgeStats() (dispatched, won, lost uint64) {
-	return m.hedgesDispatched.Load(), m.hedgesWon.Load(), m.hedgesLost.Load()
 }
 
 // NewMultiBackend returns a MultiBackend dispatching to local (required;
@@ -181,12 +159,6 @@ func (m *MultiBackend) setWorkloadResolver(r WorkloadResolver) {
 	if s, ok := m.local.backend.(workloadResolverSetter); ok {
 		s.setWorkloadResolver(r)
 	}
-}
-
-// setResultLookup installs the dispatch-time store probe. Called once at
-// Open, before dispatch starts.
-func (m *MultiBackend) setResultLookup(lookup func(hash string) *sim.RunResult) {
-	m.resultLookup = lookup
 }
 
 // Name implements Backend.
@@ -392,11 +364,6 @@ type reservation struct {
 	m  *MultiBackend
 	ws *workerSlot
 	n  int
-
-	// noHedge marks a reservation that must never hedge — hedge
-	// reservations themselves carry it, so a straggling hedge cannot
-	// recursively hedge again.
-	noHedge bool
 }
 
 // Granted is the number of cells the reservation holds.
@@ -481,141 +448,6 @@ func (m *MultiBackend) Reserve(ctx context.Context, want int) (*reservation, err
 	}
 }
 
-// reserveHedge claims one cell on the best eligible slot other than
-// exclude, without blocking — hedging is opportunistic, and a cluster with
-// no second slot free simply doesn't hedge. The local pool is an eligible
-// hedge target: a local simulation can absolutely save a cell straggling
-// on a wedged remote.
-func (m *MultiBackend) reserveHedge(exclude *workerSlot) *reservation {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var best *workerSlot
-	bestFree := 0
-	if m.local != exclude {
-		if free := m.local.capacity - m.local.inflight; free > 0 && time.Now().After(m.local.suspendedUntil) {
-			best, bestFree = m.local, free
-		}
-	}
-	for _, id := range m.order {
-		ws := m.slots[id]
-		if ws == nil || ws == exclude || !ws.healthy {
-			continue
-		}
-		free := m.budgetLocked(ws) - ws.inflight
-		if free <= 0 {
-			continue
-		}
-		if best == nil || free > bestFree {
-			best, bestFree = ws, free
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	best.inflight++
-	return &reservation{m: m, ws: best, n: 1, noHedge: true}
-}
-
-// executeSingle runs one cell on the reserved slot. When the slot is a
-// remote worker and hedging is armed, a cell that hasn't answered within
-// hedgeAfter — with the queue drained, per the hedge gate — is duplicated
-// onto the next-best slot via its own one-cell reservation; the first
-// verified result wins (a bad envelope surfaces as ErrBackendUnavailable,
-// so "verified" falls out of the remote exchange itself) and the loser's
-// request is canceled, which makes the losing worker abandon its copy of
-// the job through the abort machinery. hedgedWon reports that the winning
-// result came from the hedge: the caller must then skip the primary
-// slot's health/completion accounting — the hedge reservation's own
-// execute already credited the winner.
-func (r *reservation) executeSingle(ctx, execCtx context.Context, spec JobSpec, hash string) (res *sim.RunResult, hedgedWon bool, err error) {
-	m, ws := r.m, r.ws
-	if !ws.remote || r.noHedge || m.hedgeAfter <= 0 {
-		res, err = ws.backend.Execute(execCtx, spec, hash)
-		return res, false, err
-	}
-
-	type outcome struct {
-		res *sim.RunResult
-		err error
-	}
-	pctx, pcancel := context.WithCancel(execCtx)
-	defer pcancel()
-	primary := make(chan outcome, 1)
-	go func() {
-		pres, perr := ws.backend.Execute(pctx, spec, hash)
-		primary <- outcome{pres, perr}
-	}()
-
-	timer := time.NewTimer(m.hedgeAfter)
-	defer timer.Stop()
-	// The hedge context derives from the chunk's ctx, not execCtx: the
-	// primary's lease expiring must kill the primary, not the hedge — that
-	// is precisely the moment the hedge matters. Returning cancels it, so
-	// a hedge that lost to the primary is abandoned on the spot.
-	hctx, hcancel := context.WithCancel(ctx)
-	defer hcancel()
-	var hedge chan outcome
-	for {
-		select {
-		case o := <-primary:
-			if hedge == nil {
-				return o.res, false, o.err
-			}
-			if o.err != nil {
-				// The primary failed with a hedge still in flight: the
-				// hedge may yet save the cell — that rescue is exactly what
-				// hedging buys beyond latency. Its reservation settles its
-				// own slot accounting either way.
-				ho := <-hedge
-				if ho.err == nil {
-					m.hedgesWon.Add(1)
-					return ho.res, true, nil
-				}
-			}
-			m.hedgesLost.Add(1)
-			return o.res, false, o.err
-		case ho := <-hedge:
-			if ho.err != nil {
-				// The hedge lost on its own; keep waiting for the primary.
-				// A nil channel never delivers, so this arm goes quiet.
-				m.hedgesLost.Add(1)
-				hedge = nil
-				continue
-			}
-			// First verified result wins: cancel the primary's request (the
-			// worker abandons its copy of the job) and wait briefly for the
-			// exchange to unwind so the slot's in-flight accounting settles
-			// in order; a primary that ignores cancellation must not hold
-			// the finished result hostage.
-			m.hedgesWon.Add(1)
-			pcancel()
-			select {
-			case <-primary:
-			case <-time.After(5 * time.Second):
-			}
-			return ho.res, true, nil
-		case <-timer.C:
-			if m.hedgeGate != nil && !m.hedgeGate() {
-				// Queued work would use a spare slot better than a
-				// duplicate; check again in another hedgeAfter.
-				timer.Reset(m.hedgeAfter)
-				continue
-			}
-			hr := m.reserveHedge(ws)
-			if hr == nil {
-				timer.Reset(m.hedgeAfter)
-				continue
-			}
-			m.hedgesDispatched.Add(1)
-			hedge = make(chan outcome, 1)
-			go func(hr *reservation, hctx context.Context, hc chan<- outcome) {
-				results := hr.execute(hctx, []JobSpec{spec}, []string{hash})
-				hc <- outcome{results[0].Result, results[0].Err}
-			}(hr, hctx, hedge)
-		}
-	}
-}
-
 // execute runs the chunk on the reserved slot and settles the reservation:
 // the in-flight claim is released, per-worker completion/failure accounting
 // mirrors what per-cell dispatch always did, and a chunk-level transport
@@ -677,7 +509,6 @@ func (r *reservation) execute(ctx context.Context, specs []JobSpec, hashes []str
 	}
 	var results []BatchResult
 	var chunkErr error
-	hedgedWon := false
 	// leaseExpired rewrites an exchange error once the slot's lease — not
 	// the caller — killed the context: the failure belongs to the backend,
 	// so it must wrap ErrBackendUnavailable for the scheduler to requeue.
@@ -690,12 +521,10 @@ func (r *reservation) execute(ctx context.Context, specs []JobSpec, hashes []str
 	if len(subSpecs) == 1 {
 		// One cell rides the single-dispatch path: batch framing would buy
 		// nothing, and older workers without the batch endpoint stay on
-		// their native protocol. It is also the hedgeable shape — sweep
-		// tails dispatch per cell once the queue runs dry.
-		res, hedged, err := r.executeSingle(ctx, execCtx, subSpecs[0], subHashes[0])
+		// their native protocol.
+		res, err := ws.backend.Execute(execCtx, subSpecs[0], subHashes[0])
 		err = leaseExpired(err)
 		results = []BatchResult{{Result: res, Err: err}}
-		hedgedWon = hedged
 		if err != nil && errors.Is(err, ErrBackendUnavailable) {
 			chunkErr = err
 		}
@@ -727,13 +556,11 @@ func (r *reservation) execute(ctx context.Context, specs []JobSpec, hashes []str
 	// A chunk with at least one delivered outcome keeps the worker healthy:
 	// it demonstrably answered, and any requeue-marked stragglers retry as
 	// smaller chunks that fall through to this same accounting.
-	// ...unless the caller canceled the exchange (a hedge won and aborted
-	// this dispatch, or the dispatch context died with it): the resulting
-	// transport errors are the canceler's doing, not the worker's, and
-	// demoting a healthy worker for them would let every lost hedge race
-	// knock capacity out of the cluster.
+	// ...unless the caller canceled the exchange: the resulting transport
+	// errors are the canceler's doing, not the worker's, and demoting a
+	// healthy worker for them would knock capacity out of the cluster.
 	callerCanceled := ctx.Err() != nil
-	transportFailure := !hedgedWon && !callerCanceled &&
+	transportFailure := !callerCanceled &&
 		((chunkErr != nil && errors.Is(chunkErr, ErrBackendUnavailable)) ||
 			unavailable == len(results))
 
@@ -759,12 +586,9 @@ func (r *reservation) execute(ctx context.Context, specs []JobSpec, hashes []str
 			m.mu.Unlock()
 			m.notify()
 		})
-	case hedgedWon || callerCanceled:
-		// The slot neither completed nor failed this cell: a hedge raced
-		// it and won (the winning reservation already credited its own
-		// slot — crediting here too would double-count the cell), or the
-		// caller abandoned the exchange mid-flight. No health signal
-		// either way.
+	case callerCanceled:
+		// The caller abandoned the exchange mid-flight: the slot neither
+		// completed nor failed the cell, so there is no health signal.
 	default:
 		ws.completed += uint64(succeeded)
 		if succeeded > 0 {

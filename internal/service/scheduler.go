@@ -179,9 +179,9 @@ type Config struct {
 	// looked up there before queueing (a hit completes the job without
 	// simulating, promoted through the local LRU), and every locally
 	// simulated result is written back so the rest of the cluster can reuse
-	// it. Workers install a RemoteResultStore pointed at their server; a
-	// federated dispatch server can point one at an upstream results server.
-	Share ResultSharer
+	// it. Workers point it at their server; a federated dispatch server can
+	// point it at an upstream results server.
+	Share *RemoteResultStore
 	// QueueMax, when positive, is the per-class queued-job watermark for
 	// admission control: a submission that finds its class's queue at the
 	// watermark is refused with a QueueFullError (HTTP 429 + Retry-After)
@@ -195,13 +195,6 @@ type Config struct {
 	// weights (defaults: interactive 8, batch 1; the "default" key sets
 	// the weight of ad-hoc tenant classes, default 4).
 	ClassWeights map[string]int
-	// HedgeAfter, when positive, arms hedged dispatch for stragglers: once
-	// the queue has drained (a sweep tail), a single-cell dispatch to a
-	// remote worker that hasn't answered within HedgeAfter is duplicated
-	// onto the next-best backend; the first verified result wins and the
-	// loser's request is canceled (the worker abandons its copy). Zero
-	// disables hedging.
-	HedgeAfter time.Duration
 }
 
 // SubmitOptions carries a submission's scheduling attributes — everything
@@ -221,14 +214,12 @@ type SubmitOptions struct {
 // that register — tracking per-job status and deduplicating identical
 // specs: a spec whose hash matches a cached result completes instantly, and
 // one matching a queued or running job shares that job instead of enqueuing
-// a duplicate. Wherever a job executes, its result flows into the same LRU
-// cache and persistent store.
+// a duplicate. Wherever a job executes, its result flows into the same
+// result tiers (LRU cache, persistent store, cluster share).
 type Scheduler struct {
 	backend *MultiBackend
-	cache   *resultCache
-	store   *resultStore // nil without Config.DataDir
-	traces  *traceStore  // always non-nil; memory-only without Config.DataDir
-	share   ResultSharer // nil without Config.Share
+	results resultTiers
+	traces  *traceStore // always non-nil; memory-only without Config.DataDir
 
 	// maxBody / maxTraceBody are the HTTP request-body caps the handler
 	// enforces (Config.MaxBody / Config.MaxTraceBody, defaulted).
@@ -298,7 +289,6 @@ func Open(cfg Config) (*Scheduler, error) {
 		cfg.MaxTraceBody = 256 << 20 // 256 MiB
 	}
 	s := &Scheduler{
-		cache:        newResultCache(cfg.CacheSize),
 		runFn:        sim.Run,
 		queues:       newMultiQueue(cfg.ClassWeights, cfg.QueueMax),
 		byID:         make(map[string]*Job),
@@ -311,13 +301,14 @@ func Open(cfg Config) (*Scheduler, error) {
 		janitorStop:  make(chan struct{}),
 	}
 	s.dispatchCtx, s.dispatchCancel = context.WithCancel(context.Background())
+	s.results = resultTiers{cache: newResultCache(cfg.CacheSize), share: cfg.Share, metrics: &s.metrics, wg: &s.wg}
 	traceDir := ""
 	if cfg.DataDir != "" {
 		store, err := newResultStore(cfg.DataDir)
 		if err != nil {
 			return nil, err
 		}
-		s.store = store
+		s.results.store = store
 		traceDir = filepath.Join(cfg.DataDir, "traces")
 	}
 	traces, err := newTraceStore(traceDir, cfg.TraceFetch)
@@ -335,15 +326,10 @@ func Open(cfg Config) (*Scheduler, error) {
 	} else {
 		s.backend = NewMultiBackend(base)
 	}
-	s.share = cfg.Share
 	s.backend.maxBatch = s.maxBatch
 	s.backend.onChange = s.wake
-	s.backend.hedgeAfter = cfg.HedgeAfter
-	// Hedging only duplicates work when no queued cell could use the spare
-	// slot better — i.e. at the sweep tail, once the queue has drained.
-	s.backend.hedgeGate = func() bool { return s.QueueDepth() == 0 }
 	s.backend.setWorkloadResolver(s.resolveWorkload)
-	s.backend.setResultLookup(s.dispatchLookup)
+	s.backend.resultLookup = func(hash string) *sim.RunResult { return s.results.lookup(hash, false) }
 	s.cond = sync.NewCond(&s.mu)
 	s.wg.Add(1)
 	go s.dispatch()
@@ -486,43 +472,22 @@ func (s *Scheduler) SubmitWith(spec JobSpec, opts SubmitOptions) (*Job, error) {
 	}
 	s.byID[j.ID] = j
 
-	if res, ok := s.cache.Get(hash); ok {
+	// Consult the result tiers with the scheduler unlocked: a cold sweep
+	// submission must not serialize every other Submit/retire/Metrics call
+	// behind file reads or a share round trip. Registering j in inflight
+	// first reserves the hash, so a concurrent identical Submit dedups onto
+	// j instead of racing its own lookup — which also makes this the only
+	// lookup of the hash the share sees.
+	s.inflight[hash] = j
+	s.mu.Unlock()
+	res := s.results.lookup(hash, true)
+	s.mu.Lock()
+	if res != nil {
+		delete(s.inflight, hash)
 		j.finish(res, nil, StatusDone, true)
 		s.retireLocked(j)
 		return j, nil
 	}
-
-	if s.store == nil && s.share == nil {
-		if err := s.admitLocked(j.Class); err != nil {
-			s.rejectLocked(j)
-			return nil, err
-		}
-		s.inflight[hash] = j
-		s.queues.push(j)
-		s.cond.Signal()
-		return j, nil
-	}
-
-	// LRU miss with a persistent store and/or a cluster-wide share: consult
-	// them with the scheduler unlocked — a cold sweep submission must not
-	// serialize every other Submit/retire/Metrics call behind file reads or
-	// a share round trip. Registering j in inflight first reserves the
-	// hash, so a concurrent identical Submit dedups onto j instead of
-	// racing its own lookup. Order matters: the local disk answers in
-	// microseconds, so the share — one HTTP round trip, stampede-bounded by
-	// its own singleflight and negative cache — is only asked what no local
-	// tier has.
-	s.inflight[hash] = j
-	s.mu.Unlock()
-	var res *sim.RunResult
-	ok := false
-	if s.store != nil {
-		res, ok = s.store.Load(hash)
-	}
-	if !ok && s.share != nil {
-		res, ok = s.shareLookup(hash)
-	}
-	s.mu.Lock()
 	if s.closed {
 		// Shutdown ran while we were off the lock and canceled the queue;
 		// j was reserved but not queued, so cancel it the same way.
@@ -530,20 +495,6 @@ func (s *Scheduler) SubmitWith(spec JobSpec, opts SubmitOptions) (*Job, error) {
 		j.finish(nil, ErrCanceled, StatusCanceled, false)
 		s.retireLocked(j)
 		s.metrics.canceled.Add(1)
-		return j, nil
-	}
-	if ok {
-		// Store or share hit: promote into the LRU so later duplicates
-		// touch neither the disk nor the network again. The job keeps its
-		// own clone of the promoted document — the copy the LRU now owns
-		// and the copy this job's callers receive must never alias,
-		// mirroring the cache's deep-copy-on-Add/Get contract: a caller
-		// mutating its store-hit (or remote-hit) result must not be able to
-		// corrupt what later hits observe.
-		delete(s.inflight, hash)
-		s.cache.Add(hash, res)
-		j.finish(res.Clone(), nil, StatusDone, true)
-		s.retireLocked(j)
 		return j, nil
 	}
 	if err := s.admitLocked(j.Class); err != nil && j.refs <= 1 {
@@ -696,59 +647,6 @@ func (s *Scheduler) Cancel(id string) bool {
 	return canceled
 }
 
-// lookupResult returns an independent copy of the result stored under hash
-// in the LRU or the persistent store, or nil when neither has it — how
-// finished sweeps re-resolve cell results for replay without pinning them.
-func (s *Scheduler) lookupResult(hash string) *sim.RunResult {
-	if res, ok := s.cache.Get(hash); ok {
-		return res
-	}
-	if s.store != nil {
-		if res, ok := s.store.Load(hash); ok {
-			return res
-		}
-	}
-	return nil
-}
-
-// shareLookup consults the cluster-wide result store and keeps the
-// remote-store accounting: a verified result is a hit, an envelope that
-// failed hash/schema verification is a rejection (counted, never used — the
-// caller simulates locally, so a lying store cannot poison results), and
-// everything else, transport failures included, is a miss.
-func (s *Scheduler) shareLookup(hash string) (*sim.RunResult, bool) {
-	res, err := s.share.Lookup(hash)
-	switch {
-	case res != nil:
-		s.metrics.remoteHits.Add(1)
-		return res, true
-	case errors.Is(err, ErrResultRejected):
-		s.metrics.remoteRejected.Add(1)
-	default:
-		s.metrics.remoteMisses.Add(1)
-	}
-	return nil, false
-}
-
-// dispatchLookup is the MultiBackend's pre-dispatch store probe: it answers
-// from the local LRU or disk store only — quietly, without touching their
-// hit/miss counters, since it runs once per dispatched cell — and never from
-// the remote share, whose submit-time consultation already covered this job.
-// It exists for results that land *after* submission: a worker write-back or
-// a peer process sharing the data-dir can finish a cell while it sits
-// queued, and dispatching it anyway would waste a backend slot.
-func (s *Scheduler) dispatchLookup(hash string) *sim.RunResult {
-	if res, ok := s.cache.peek(hash); ok {
-		return res
-	}
-	if s.store != nil {
-		if res, ok := s.store.load(hash, false); ok {
-			return res
-		}
-	}
-	return nil
-}
-
 // QueueDepth returns the number of jobs waiting for a worker, across every
 // scheduling class.
 func (s *Scheduler) QueueDepth() int {
@@ -895,8 +793,8 @@ func (s *Scheduler) dispatch() {
 }
 
 // runChunk executes one dispatched chunk on its reserved backend slot and
-// routes each cell's outcome individually: success populates the LRU and
-// the persistent store exactly as a local run always has, a simulation
+// routes each cell's outcome individually: success is filed in the result
+// tiers exactly as a local run always has, a simulation
 // failure is terminal for that cell alone, and a backend failure (remote
 // worker died mid-chunk, returned a bad envelope, or no healthy backend
 // exists) requeues the affected cells at the head of their class queues in
@@ -970,27 +868,10 @@ func (s *Scheduler) runChunk(r *reservation, chunk []*Job) {
 		}
 		res := results[i].Result
 		cacheHit := results[i].CacheHit
-		s.cache.Add(j.Hash, res)
-		if s.store != nil && !cacheHit {
-			// Persistence is best-effort: a full disk degrades to LRU-only
-			// caching (the failure is counted in the store metrics) rather
-			// than failing the job, whose in-memory result is still valid.
-			// A dispatch-time short-circuit (cacheHit) resolved from the
-			// cache or the store itself and has nothing new to persist.
-			_ = s.store.Save(j.Hash, res)
-		}
-		if s.share != nil && !cacheHit {
-			// Publish the freshly simulated result cluster-wide. The
-			// write-back is best-effort and off the job's critical path (the
-			// PUT must not delay finish), but tracked by the scheduler's
-			// WaitGroup so Shutdown drains it.
-			s.wg.Add(1)
-			go func(hash string, res *sim.RunResult) {
-				defer s.wg.Done()
-				if err := s.share.WriteBack(hash, res); err == nil {
-					s.metrics.remoteWritebacks.Add(1)
-				}
-			}(j.Hash, res)
+		if !cacheHit {
+			// A dispatch-time short-circuit (cacheHit) was answered by the
+			// result tiers themselves and has nothing new to file.
+			s.results.put(j.Hash, res, true)
 		}
 		j.finish(res, nil, StatusDone, cacheHit)
 		s.retire(j)

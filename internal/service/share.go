@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"constable/internal/sim"
@@ -22,57 +21,23 @@ import (
 // correctness.
 var ErrResultRejected = errors.New("service: shared result rejected")
 
-// ResultSharer connects a scheduler to a cluster-wide result store. Workers
-// install one pointed at their server (so N workers simulate a popular cell
-// once, not N times), and a federated dispatch server can install one
-// pointed at an upstream results server. Both methods are called off the
-// scheduler's lock and may do network I/O.
-type ResultSharer interface {
-	// Lookup returns the shared store's result for hash. (nil, nil) is a
-	// miss; an error wrapping ErrResultRejected means the store answered
-	// with an envelope that failed hash/schema verification; any other
-	// error is a transport failure, treated as a miss.
-	Lookup(hash string) (*sim.RunResult, error)
-	// WriteBack publishes a locally-simulated result under hash so every
-	// other consulting scheduler can reuse it.
-	WriteBack(hash string, res *sim.RunResult) error
-}
-
-// shareNegCap bounds the negative-lookup cache: remembered misses beyond it
-// evict oldest-first, so an adversarial stream of absent hashes cannot grow
-// worker memory.
-const shareNegCap = 8192
-
 // RemoteResultStore consults a constable-server's content-addressed result
-// store over HTTP — GET /v1/results/{hash} before simulating, PUT
-// /v1/results/{hash} after — with two stampede defenses tuned for sweep
-// bursts: concurrent Lookups for the same hash collapse into one in-flight
-// GET (singleflight), and a miss is remembered in a bounded negative cache
-// for a short TTL so a burst of duplicate submissions costs one round trip,
-// not one per cell. Every 200 response is verified with
-// sim.ResultEnvelope.Open against the requested hash before use; a
-// mismatched or undecodable envelope is rejected (ErrResultRejected), never
-// trusted.
+// store over HTTP: GET /v1/results/{hash} before simulating, PUT
+// /v1/results/{hash} after. Workers install one pointed at their server (so
+// N workers simulate a popular cell once, not N times), and a federated
+// dispatch server can install one pointed at an upstream results server.
+// Every 200 response is verified with sim.ResultEnvelope.Open against the
+// requested hash before use; a mismatched or undecodable envelope is
+// rejected (ErrResultRejected), never trusted. A burst of identical
+// submissions costs one GET, not one per cell: the consulting scheduler's
+// in-flight dedup lets only the first submitter of a hash reach Lookup.
 type RemoteResultStore struct {
 	url    string
 	client *http.Client
-	negTTL time.Duration
-
-	mu       sync.Mutex
-	neg      map[string]time.Time // hash → when the miss was observed
-	negOrder []string             // insertion order, for bounded eviction
-	calls    map[string]*shareCall
 }
 
-// shareCall is one in-flight GET all concurrent Lookups for a hash share.
-type shareCall struct {
-	done chan struct{}
-	res  *sim.RunResult
-	err  error
-}
-
-// NewRemoteResultStore returns a sharer consulting the server at baseURL
-// (e.g. http://127.0.0.1:8080).
+// NewRemoteResultStore returns a client for the result store of the server
+// at baseURL (e.g. http://127.0.0.1:8080).
 func NewRemoteResultStore(baseURL string) *RemoteResultStore {
 	transport := http.DefaultTransport
 	if t, ok := http.DefaultTransport.(*http.Transport); ok {
@@ -85,59 +50,14 @@ func NewRemoteResultStore(baseURL string) *RemoteResultStore {
 	return &RemoteResultStore{
 		url:    baseURL,
 		client: &http.Client{Timeout: 10 * time.Second, Transport: transport},
-		negTTL: 3 * time.Second,
-		neg:    make(map[string]time.Time),
-		calls:  make(map[string]*shareCall),
 	}
 }
 
-// Lookup implements ResultSharer. Each caller gets an independent deep copy,
-// so callers collapsed onto one GET cannot alias each other's documents.
+// Lookup does one verified GET for hash. (nil, nil) is a miss (404); an
+// error wrapping ErrResultRejected means the store answered with an envelope
+// that failed hash/schema verification; any other error is a transport
+// failure, which the caller treats as a miss.
 func (rs *RemoteResultStore) Lookup(hash string) (*sim.RunResult, error) {
-	rs.mu.Lock()
-	if t, ok := rs.neg[hash]; ok {
-		if time.Since(t) < rs.negTTL {
-			rs.mu.Unlock()
-			return nil, nil
-		}
-		delete(rs.neg, hash)
-	}
-	if c, ok := rs.calls[hash]; ok {
-		rs.mu.Unlock()
-		<-c.done
-		if c.res != nil {
-			return c.res.Clone(), nil
-		}
-		return nil, c.err
-	}
-	c := &shareCall{done: make(chan struct{})}
-	rs.calls[hash] = c
-	rs.mu.Unlock()
-
-	c.res, c.err = rs.fetch(hash)
-
-	rs.mu.Lock()
-	delete(rs.calls, hash)
-	if c.res == nil {
-		// Remember misses, transport failures and rejections alike: a lying
-		// or unreachable store must not be re-asked per cell of a burst.
-		rs.neg[hash] = time.Now()
-		rs.negOrder = append(rs.negOrder, hash)
-		for len(rs.negOrder) > shareNegCap {
-			delete(rs.neg, rs.negOrder[0])
-			rs.negOrder = rs.negOrder[1:]
-		}
-	}
-	rs.mu.Unlock()
-	close(c.done)
-	if c.res != nil {
-		return c.res.Clone(), nil
-	}
-	return nil, c.err
-}
-
-// fetch does one verified GET. It returns (nil, nil) on 404.
-func (rs *RemoteResultStore) fetch(hash string) (*sim.RunResult, error) {
 	resp, err := rs.client.Get(rs.url + "/v1/results/" + hash)
 	if err != nil {
 		return nil, fmt.Errorf("service: share lookup %.12s: %w", hash, err)
@@ -164,8 +84,8 @@ func (rs *RemoteResultStore) fetch(hash string) (*sim.RunResult, error) {
 	}
 }
 
-// WriteBack implements ResultSharer with an idempotent PUT; the receiving
-// server re-verifies the envelope against the URL hash before storing it.
+// WriteBack publishes a locally simulated result under hash with an
+// idempotent PUT; the receiving server re-verifies the envelope against the URL hash before storing it.
 func (rs *RemoteResultStore) WriteBack(hash string, res *sim.RunResult) error {
 	env := sim.NewResultEnvelope(hash, res)
 	b, err := json.Marshal(env)

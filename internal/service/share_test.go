@@ -148,7 +148,7 @@ func TestResultsWriteBackIdempotentAndVerified(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("aliased write-back: HTTP %d, want 400", resp.StatusCode)
 	}
-	if res := s.lookupResult(alias); res != nil {
+	if res := s.results.lookup(alias, false); res != nil {
 		t.Error("aliased write-back was stored")
 	}
 
@@ -168,108 +168,209 @@ func TestResultsWriteBackIdempotentAndVerified(t *testing.T) {
 	}
 }
 
-// TestRemoteResultStoreSingleflight piles 32 concurrent Lookups for one hash
-// onto a deliberately slow upstream and requires exactly one GET, with every
-// caller receiving an independent copy of the result.
-func TestRemoteResultStoreSingleflight(t *testing.T) {
-	hash := strings.Repeat("ab", 32)
+// TestShareConsultedOncePerHash piles 32 concurrent submissions of one spec
+// onto a scheduler whose share upstream holds its first GET, and requires
+// exactly one GET: the scheduler reserves the hash before consulting the
+// share, so every other submitter dedups onto the reserved job instead of
+// asking again. Every submitter still receives an independent copy of the
+// result, and a later submission is answered by the promoted LRU entry.
+func TestShareConsultedOncePerHash(t *testing.T) {
+	spec := JobSpec{Workload: testWorkload(t), Mechanism: "constable", Instructions: 4321}
+	hash := specHash(t, spec)
 	want := fullResult()
 	var gets atomic.Int32
 	release := make(chan struct{})
 	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gets.Add(1)
-		<-release
+		if gets.Add(1) == 1 {
+			<-release
+		}
 		writeJSON(w, http.StatusOK, sim.NewResultEnvelope(hash, want))
 	}))
 	t.Cleanup(upstream.Close)
+	t.Cleanup(func() { close(release) })
 
-	rs := NewRemoteResultStore(upstream.URL)
-	const callers = 32
-	results := make([]*sim.RunResult, callers)
-	errs := make([]error, callers)
+	s, err := Open(Config{Workers: 1, Share: NewRemoteResultStore(upstream.URL)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	s.runFn = func(sim.Options) (*sim.RunResult, error) {
+		return nil, errors.New("share hit expected; nothing should simulate")
+	}
+
+	const submitters = 32
+	jobs := make([]*Job, submitters)
 	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < callers; i++ {
+	for i := range jobs {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			<-start
-			results[i], errs[i] = rs.Lookup(hash)
-		}(i)
+			j, err := s.Submit(spec)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			jobs[i] = j
+		}()
 	}
-	close(start)
-	// Let the leader's GET begin, then give the rest time to pile onto the
-	// in-flight call before the upstream answers.
-	waitFor(t, 5*time.Second, func() bool { return gets.Load() >= 1 })
-	time.Sleep(100 * time.Millisecond)
-	close(release)
+	// The first submitter is parked in the held GET; everyone else has
+	// deduped onto its reserved job.
+	waitFor(t, 5*time.Second, func() bool { return s.Metrics().JobsDeduped == submitters-1 })
+	release <- struct{}{}
 	wg.Wait()
-
-	if gets.Load() != 1 {
-		t.Errorf("%d concurrent lookups issued %d GETs, want 1", callers, gets.Load())
+	if t.Failed() {
+		t.FailNow()
 	}
-	for i := range results {
-		if errs[i] != nil || results[i] == nil {
-			t.Fatalf("caller %d: res=%v err=%v", i, results[i], errs[i])
+
+	results := make([]*sim.RunResult, submitters)
+	for i, j := range jobs {
+		if results[i], err = j.Wait(t.Context()); err != nil || !j.CacheHit() {
+			t.Fatalf("submitter %d: err=%v cacheHit=%v", i, err, j.CacheHit())
 		}
 	}
-	// Collapsed callers must not alias: vandalize one copy, check another.
+	if gets.Load() != 1 {
+		t.Errorf("%d concurrent submissions issued %d GETs, want 1", submitters, gets.Load())
+	}
+	// Deduped submitters must not alias: vandalize one copy, check another.
 	results[0].Counters["pipeline.retired"] = 999
 	results[0].Cycles = 0
 	if results[1].Cycles != want.Cycles || results[1].Counters["pipeline.retired"] != want.Counters["pipeline.retired"] {
-		t.Error("singleflight waiters share one result document")
+		t.Error("deduped submitters share one result document")
+	}
+
+	if _, err := s.RunSync(t.Context(), spec); err != nil {
+		t.Fatal(err)
+	}
+	if gets.Load() != 1 {
+		t.Errorf("resubmission reached the share: %d GETs, want 1", gets.Load())
+	}
+	if m := s.Metrics(); m.StoreRemoteHits != 1 || m.CacheHits != 1 {
+		t.Errorf("remote hits/cache hits = %d/%d, want 1/1", m.StoreRemoteHits, m.CacheHits)
 	}
 }
 
-// TestRemoteResultStoreNegativeCache verifies a miss (and a rejection) is
-// remembered for the TTL — one GET per burst, not one per cell — and
-// re-asked once the TTL lapses.
-func TestRemoteResultStoreNegativeCache(t *testing.T) {
-	var gets atomic.Int32
-	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gets.Add(1)
-		httpError(w, http.StatusNotFound, "no result")
-	}))
-	t.Cleanup(upstream.Close)
+// TestQuietLookupsLeaveTierCounters pins the counting rule of the result
+// tiers: only Submit counts LRU and store hits and misses. The dispatch-time
+// recheck, GET /v1/results, a finished sweep's replay and the PUT
+// idempotency probe all read quietly. It runs with the LRU enabled and
+// disabled, so the quiet reads are served by each local tier in turn.
+func TestQuietLookupsLeaveTierCounters(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		cacheSize int
+		// resubmit is the counter delta of submitting a finished spec again.
+		resubmit tierCounters
+	}{
+		{"lru", 0, tierCounters{cacheHits: 1}},
+		{"store only", -1, tierCounters{cacheMisses: 1, storeHits: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := make(chan struct{})
+			var gateOnce sync.Once
+			openGate := func() { gateOnce.Do(func() { close(gate) }) }
+			t.Cleanup(openGate)
+			srv, s := newTestServer(t, Config{Workers: 1, CacheSize: tc.cacheSize, DataDir: t.TempDir()},
+				func(o sim.Options) (*sim.RunResult, error) {
+					if o.Instructions == 1000 {
+						<-gate
+					}
+					return &sim.RunResult{Cycles: o.Instructions}, nil
+				})
+			name := testWorkload(t)
+			specA := JobSpec{Workload: name, Instructions: 3000}
+			sw, err := s.StartSweep(t.Context(), [][]JobSpec{{specA}}, SweepOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-sw.Done()
+			if got := countersOf(s); got != (tierCounters{cacheMisses: 1, storeMisses: 1}) {
+				t.Fatalf("after the first submission: %+v, want one LRU and one store miss", got)
+			}
 
-	rs := NewRemoteResultStore(upstream.URL)
-	hash := strings.Repeat("cd", 32)
-	for i := 0; i < 5; i++ {
-		if res, err := rs.Lookup(hash); res != nil || err != nil {
-			t.Fatalf("lookup %d: res=%v err=%v, want miss", i, res, err)
-		}
-	}
-	if gets.Load() != 1 {
-		t.Errorf("5 lookups within the TTL issued %d GETs, want 1", gets.Load())
-	}
+			// The blocker holds the only slot; B queues behind it.
+			blocker, err := s.Submit(JobSpec{Workload: name, Instructions: 1000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 5*time.Second, func() bool { return s.Running() == 1 })
+			specB := JobSpec{Workload: name, Instructions: 2000}
+			jb, err := s.Submit(specB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := countersOf(s)
 
-	rs.negTTL = time.Millisecond
-	time.Sleep(5 * time.Millisecond)
-	if _, err := rs.Lookup(hash); err != nil {
-		t.Fatal(err)
-	}
-	if gets.Load() != 2 {
-		t.Errorf("lookup after TTL expiry issued %d total GETs, want 2", gets.Load())
-	}
+			// PUT: the idempotency probe misses, then hits.
+			hashB := specHash(t, specB)
+			body, _ := json.Marshal(sim.NewResultEnvelope(hashB, &sim.RunResult{Cycles: 4242}))
+			for _, want := range []int{http.StatusCreated, http.StatusOK} {
+				resp := putEnvelope(t, srv.URL, hashB, body)
+				resp.Body.Close()
+				if resp.StatusCode != want {
+					t.Fatalf("write-back: HTTP %d, want %d", resp.StatusCode, want)
+				}
+			}
+			// GET /v1/results: a hit and a miss.
+			for hash, want := range map[string]int{specHash(t, specA): http.StatusOK, strings.Repeat("ab", 32): http.StatusNotFound} {
+				resp, err := http.Get(srv.URL + "/v1/results/" + hash)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != want {
+					t.Fatalf("GET /v1/results: HTTP %d, want %d", resp.StatusCode, want)
+				}
+			}
+			// Replay of the finished sweep, with results.
+			var replayed *sim.RunResult
+			if err := sw.Stream(t.Context(), true, func(ev SweepEvent) error {
+				replayed = ev.Result
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if replayed == nil || replayed.Cycles != 3000 {
+				t.Fatalf("replayed result = %+v, want cycles 3000", replayed)
+			}
+			// The dispatch recheck finds B's written-back result.
+			openGate()
+			resB, err := jb.Wait(t.Context())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !jb.CacheHit() || resB.Cycles != 4242 {
+				t.Fatalf("B: cacheHit=%v cycles=%d, want a dispatch-time short-circuit with 4242", jb.CacheHit(), resB.Cycles)
+			}
+			if _, err := blocker.Wait(t.Context()); err != nil {
+				t.Fatal(err)
+			}
+			if got := countersOf(s); got != before {
+				t.Errorf("quiet lookups moved the tier counters: %+v, want %+v", got, before)
+			}
 
-	// Rejections are negative-cached the same way: a lying upstream is asked
-	// once per TTL, not once per cell.
-	var liarGets atomic.Int32
-	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		liarGets.Add(1)
-		writeJSON(w, http.StatusOK, sim.NewResultEnvelope(strings.Repeat("00", 32), &sim.RunResult{Cycles: 1}))
-	}))
-	t.Cleanup(liar.Close)
-	lrs := NewRemoteResultStore(liar.URL)
-	if _, err := lrs.Lookup(hash); !errors.Is(err, ErrResultRejected) {
-		t.Fatalf("lying upstream error = %v, want ErrResultRejected", err)
+			// Submit still counts.
+			if _, err := s.RunSync(t.Context(), specA); err != nil {
+				t.Fatal(err)
+			}
+			want := before
+			want.cacheHits += tc.resubmit.cacheHits
+			want.cacheMisses += tc.resubmit.cacheMisses
+			want.storeHits += tc.resubmit.storeHits
+			if got := countersOf(s); got != want {
+				t.Errorf("after resubmitting A: %+v, want %+v", got, want)
+			}
+		})
 	}
-	if res, err := lrs.Lookup(hash); res != nil || err != nil {
-		t.Fatalf("second lookup against liar: res=%v err=%v, want cached miss", res, err)
-	}
-	if liarGets.Load() != 1 {
-		t.Errorf("rejection was not negative-cached: %d GETs", liarGets.Load())
-	}
+}
+
+// tierCounters are the local result tiers' hit and miss counters.
+type tierCounters struct {
+	cacheHits, cacheMisses, storeHits, storeMisses uint64
+}
+
+func countersOf(s *Scheduler) tierCounters {
+	m := s.Metrics()
+	return tierCounters{m.CacheHits, m.CacheMisses, m.StoreHits, m.StoreMisses}
 }
 
 // TestParallelWriteBacksSameHash hammers one hash with concurrent PUT
@@ -317,7 +418,7 @@ func TestParallelWriteBacksSameHash(t *testing.T) {
 	if putFailures.Load() != 0 || getFailures.Load() != 0 {
 		t.Fatalf("put/get failures = %d/%d, want 0/0", putFailures.Load(), getFailures.Load())
 	}
-	if n := s.store.Len(); n != 1 {
+	if n := s.results.store.Len(); n != 1 {
 		t.Errorf("store entries after %d same-hash write-backs = %d, want 1", writers, n)
 	}
 	if m := s.Metrics(); m.StoreRemoteWritebacks != writers {

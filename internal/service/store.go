@@ -26,7 +26,7 @@ type resultStore struct {
 
 // newResultStore opens (creating if needed) a store rooted at dir and
 // sweeps temp files orphaned by writers that crashed mid-Save — they are
-// invisible to Load and would otherwise accumulate across restarts.
+// invisible to load and would otherwise accumulate across restarts.
 func newResultStore(dir string) (*resultStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: result store: %w", err)
@@ -49,56 +49,30 @@ func (st *resultStore) path(hash string) string {
 	return filepath.Join(st.dir, shard, hash+".json")
 }
 
-// Load returns the stored result for hash, or (nil, false) when absent or
+// load returns the stored result for hash, or (nil, false) when absent or
 // unreadable. The returned result is freshly decoded and owned by the
 // caller. A decodable envelope whose recorded hash differs from the
 // requested key (aliasing — e.g. a file copied across shards) counts as
-// corrupt and is a miss.
-func (st *resultStore) Load(hash string) (*sim.RunResult, bool) {
-	return st.load(hash, true)
-}
-
-// load is Load with optional hit/miss accounting. The dispatch-time
-// short-circuit probe reads quietly (count=false): it runs once per
-// dispatched cell and would otherwise swamp the store hit-rate submitters
-// see. Corruption is always counted — a bad file is worth knowing about no
-// matter who tripped over it.
-func (st *resultStore) load(hash string, count bool) (*sim.RunResult, bool) {
-	b, err := os.ReadFile(st.path(hash))
-	if err != nil {
-		if count {
-			st.misses.Add(1)
+// corrupt and is a miss. Only a counted read (Submit's lookup) counts the
+// hit or miss; corruption is always counted — a bad file is worth knowing
+// about no matter who tripped over it.
+func (st *resultStore) load(hash string, counted bool) (*sim.RunResult, bool) {
+	var res *sim.RunResult
+	if b, err := os.ReadFile(st.path(hash)); err == nil {
+		var env sim.ResultEnvelope
+		if err = json.Unmarshal(b, &env); err == nil {
+			res, err = env.Open(hash)
 		}
-		return nil, false
-	}
-	var env sim.ResultEnvelope
-	if err := json.Unmarshal(b, &env); err != nil {
-		st.corrupt.Add(1)
-		if count {
-			st.misses.Add(1)
+		if err != nil {
+			st.corrupt.Add(1)
 		}
-		return nil, false
 	}
-	res, err := env.Open(hash)
-	if err != nil {
-		st.corrupt.Add(1)
-		if count {
-			st.misses.Add(1)
-		}
-		return nil, false
-	}
-	if count {
+	if counted && res != nil {
 		st.hits.Add(1)
+	} else if counted {
+		st.misses.Add(1)
 	}
-	return res, true
-}
-
-// Has reports whether a result file exists under hash without reading or
-// verifying it — enough for the idempotent PUT handler to distinguish a
-// first write-back (201) from a repeat (200).
-func (st *resultStore) Has(hash string) bool {
-	_, err := os.Stat(st.path(hash))
-	return err == nil
+	return res, res != nil
 }
 
 // Save persists res under hash. The write is atomic (temp file in the same

@@ -58,7 +58,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err := st.Save(hash, want); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := st.Load(hash)
+	got, ok := st.load(hash, true)
 	if !ok {
 		t.Fatal("Load missed a just-saved result")
 	}
@@ -81,7 +81,7 @@ func TestStoreCorruptionAndAliasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.Load("absent00"); ok {
+	if _, ok := st.load("absent00", true); ok {
 		t.Error("Load hit on an empty store")
 	}
 
@@ -90,7 +90,7 @@ func TestStoreCorruptionAndAliasing(t *testing.T) {
 	p := st.path(garbage)
 	os.MkdirAll(filepath.Dir(p), 0o755)
 	os.WriteFile(p, []byte(`{"schema":1,"hash":"badbadbad0","result":{"cyc`), 0o644)
-	if _, ok := st.Load(garbage); ok {
+	if _, ok := st.load(garbage, true); ok {
 		t.Error("Load decoded a truncated file")
 	}
 
@@ -106,15 +106,16 @@ func TestStoreCorruptionAndAliasing(t *testing.T) {
 	alias := "otherhash9"
 	os.MkdirAll(filepath.Dir(st.path(alias)), 0o755)
 	os.WriteFile(st.path(alias), b, 0o644)
-	if _, ok := st.Load(alias); ok {
+	if _, ok := st.load(alias, false); ok {
 		t.Error("Load served an aliased envelope whose hash does not match its key")
 	}
 
+	// A quiet load counts no miss, but corruption is counted either way.
 	s := st.Stats()
-	if s.corrupt != 2 {
-		t.Errorf("corrupt count = %d, want 2 (garbage + alias)", s.corrupt)
+	if s.corrupt != 2 || s.misses != 2 {
+		t.Errorf("corrupt/misses = %d/%d, want 2 (garbage + alias) / 2 (absent + garbage)", s.corrupt, s.misses)
 	}
-	if _, ok := st.Load("realhash01"); !ok {
+	if _, ok := st.load("realhash01", true); !ok {
 		t.Error("the original key stopped serving")
 	}
 }
@@ -145,7 +146,7 @@ func TestStoreSweepsOrphanedTempFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st2.Load("realhash01"); !ok {
+	if _, ok := st2.load("realhash01", true); !ok {
 		t.Error("real entry lost by the temp-file sweep")
 	}
 }

@@ -417,7 +417,7 @@ func (sw *Sweep) Stream(ctx context.Context, withResults bool, fn func(SweepEven
 					ev.Result = res
 				}
 			} else {
-				ev.Result = sw.sched.lookupResult(ev.Hash)
+				ev.Result = sw.sched.results.lookup(ev.Hash, false)
 			}
 		}
 		if err := fn(ev); err != nil {

@@ -93,33 +93,6 @@ func TestSnapshotMergeFilterJSON(t *testing.T) {
 	}
 }
 
-// TestCountersConcurrentAdd locks in that the string-keyed Counters is safe
-// for concurrent use (run under -race): multiple goroutines counting into
-// the same set must not race and must not lose increments.
-func TestCountersConcurrentAdd(t *testing.T) {
-	var c Counters
-	const goroutines, perG = 8, 1000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				c.Inc("shared")
-				c.Add("bulk", 2)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Get("shared"); got != goroutines*perG {
-		t.Errorf("shared = %d, want %d", got, goroutines*perG)
-	}
-	if got := c.Get("bulk"); got != 2*goroutines*perG {
-		t.Errorf("bulk = %d, want %d", got, 2*goroutines*perG)
-	}
-}
-
-// Satellite edge cases: geomean of empty and of zero-valued speedup sets.
 func TestGeomeanEdgeCases(t *testing.T) {
 	if g := Geomean([]float64{}); g != 1.0 {
 		t.Errorf("geomean of empty slice = %v, want the neutral speedup 1.0", g)
@@ -166,26 +139,16 @@ func TestBoxPlotFewSamples(t *testing.T) {
 	}
 }
 
-// BenchmarkCountersHotPath compares the string-keyed Counters map against
-// the interned slice-backed CounterSet on the simulator's hot-path pattern:
-// a handful of distinct counters bumped millions of times.
+// BenchmarkCountersHotPath measures the interned slice-backed CounterSet on
+// the simulator's hot-path pattern: a handful of distinct counters bumped
+// millions of times.
 func BenchmarkCountersHotPath(b *testing.B) {
-	names := make([]string, 8)
 	ids := make([]CounterID, 8)
-	for i := range names {
-		names[i] = fmt.Sprintf("bench.hotpath.c%d", i)
-		ids[i] = Intern(names[i])
+	for i := range ids {
+		ids[i] = Intern(fmt.Sprintf("bench.hotpath.c%d", i))
 	}
-	b.Run("map-keyed", func(b *testing.B) {
-		var c Counters
-		for i := 0; i < b.N; i++ {
-			c.Inc(names[i&7])
-		}
-	})
-	b.Run("interned", func(b *testing.B) {
-		var s CounterSet
-		for i := 0; i < b.N; i++ {
-			s.Inc(ids[i&7])
-		}
-	})
+	var s CounterSet
+	for i := 0; i < b.N; i++ {
+		s.Inc(ids[i&7])
+	}
 }

@@ -1,8 +1,8 @@
 // Package stats provides the counter and summary-statistics utilities used
 // by the simulator and the experiment drivers: an interned counter registry
 // with slice-backed hot-path counter sets (Intern, CounterSet, Snapshot),
-// named counters, geometric means of speedups, and box-and-whiskers
-// summaries matching the paper's plotting conventions (§6.7.1 footnote 10).
+// geometric means of speedups, and box-and-whiskers summaries matching the
+// paper's plotting conventions (§6.7.1 footnote 10).
 package stats
 
 import (
@@ -10,77 +10,7 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 )
-
-// Counters is a set of named uint64 event counters, safe for concurrent use.
-// The zero value is ready to use. Hot paths should prefer a CounterSet over
-// interned CounterIDs; Counters hashes its key on every operation and takes
-// a lock, which is fine for setup/aggregation code but not per-event use.
-type Counters struct {
-	mu sync.Mutex
-	m  map[string]uint64
-}
-
-// Add increments the named counter by n.
-func (c *Counters) Add(name string, n uint64) {
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[string]uint64)
-	}
-	c.m[name] += n
-	c.mu.Unlock()
-}
-
-// Inc increments the named counter by one.
-func (c *Counters) Inc(name string) { c.Add(name, 1) }
-
-// Get returns the value of the named counter (zero if never touched).
-func (c *Counters) Get(name string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[name]
-}
-
-// Names returns the counter names in sorted order.
-func (c *Counters) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.m))
-	for n := range c.m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Merge adds every counter from other into c.
-func (c *Counters) Merge(other *Counters) {
-	for n, v := range other.Snapshot() {
-		c.Add(n, v)
-	}
-}
-
-// Snapshot returns a point-in-time copy of the counters.
-func (c *Counters) Snapshot() Snapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	snap := make(Snapshot, len(c.m))
-	for n, v := range c.m {
-		snap[n] = v
-	}
-	return snap
-}
-
-// String renders the counters one per line, sorted by name.
-func (c *Counters) String() string {
-	snap := c.Snapshot()
-	var b strings.Builder
-	for _, n := range snap.Names() {
-		fmt.Fprintf(&b, "%-40s %d\n", n, snap[n])
-	}
-	return b.String()
-}
 
 // Geomean returns the geometric mean of xs. It returns 1.0 for an empty
 // slice and panics on non-positive values, which would indicate a broken

@@ -7,42 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestCounters(t *testing.T) {
-	var c Counters
-	if c.Get("x") != 0 {
-		t.Error("untouched counter must be zero")
-	}
-	c.Inc("x")
-	c.Add("x", 4)
-	c.Add("y", 2)
-	if c.Get("x") != 5 || c.Get("y") != 2 {
-		t.Errorf("got x=%d y=%d", c.Get("x"), c.Get("y"))
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "x" || names[1] != "y" {
-		t.Errorf("Names() = %v", names)
-	}
-}
-
-func TestCountersMerge(t *testing.T) {
-	var a, b Counters
-	a.Add("x", 1)
-	b.Add("x", 2)
-	b.Add("z", 3)
-	a.Merge(&b)
-	if a.Get("x") != 3 || a.Get("z") != 3 {
-		t.Errorf("merge wrong: x=%d z=%d", a.Get("x"), a.Get("z"))
-	}
-}
-
-func TestCountersString(t *testing.T) {
-	var c Counters
-	c.Add("alpha", 7)
-	if !strings.Contains(c.String(), "alpha") {
-		t.Error("String() must include counter names")
-	}
-}
-
 func TestGeomean(t *testing.T) {
 	if g := Geomean(nil); g != 1.0 {
 		t.Errorf("empty geomean = %v, want 1", g)

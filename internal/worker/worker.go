@@ -1,8 +1,9 @@
 // Package worker implements the constable-worker runtime: a process that
-// registers with a constable-server, receives JobSpecs one HTTP request at a
-// time, simulates them on a local bounded pool, and answers with
-// full-fidelity sim.ResultEnvelope documents that flow into the server's LRU
-// cache and content-addressed store exactly like locally-executed results.
+// registers with a constable-server, receives JobSpecs from it — one per
+// /execute request or a whole dispatch chunk per /execute/batch request —
+// simulates them on a local bounded pool, and answers with full-fidelity
+// sim.ResultEnvelope documents that flow into the server's LRU cache and
+// content-addressed store exactly like locally-executed results.
 //
 // Protocol (server side documented in docs/API.md):
 //
