@@ -5,17 +5,20 @@ package pipeline
 // SLD, verify value speculation (EVES, MRN), and mispredicted branches
 // resolve and redirect the front end.
 //
-// The stage drains the thread's completion-event heap instead of scanning
+// The stage drains the thread's completion-event wheel instead of scanning
 // renamed-but-not-completed uops: every pending event has due >= the current
-// cycle (due events are popped the cycle they mature), so same-cycle pops
-// come out in seq order — the age order a ROB scan would visit. Events whose
+// cycle (due events are popped the cycle they mature), and the wheel pops
+// same-cycle events in seq order — the age order a ROB scan would visit. Events whose
 // uop was squashed (or recycled into a new instruction, detected by the seq
 // snapshot) are dropped on pop; completeOne may flush mid-drain, which only
 // ever squashes uops younger than the one completing.
 func (c *Core) complete() {
 	for _, t := range c.threads {
-		for t.events.len() > 0 && t.events.peek().due <= c.cycle {
-			ev := t.events.pop()
+		for {
+			ev, ok := t.events.popDue(c.cycle)
+			if !ok {
+				break
+			}
 			u := ev.u
 			if u.seq != ev.seq || u.squashed || u.completed {
 				continue

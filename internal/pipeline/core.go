@@ -42,21 +42,21 @@ type threadState struct {
 
 	// Wakeup-driven issue scheduling. An RS entry is in exactly one place:
 	// blocked (unknownSrcs > 0, reachable only through its producers'
-	// waiters lists — zero per-cycle cost), maturing in readyHeap (readyAt
-	// known but future, keyed (readyAt, seq)), or issue-eligible in readyQ
-	// (age-sorted by seq; retried every cycle until a port and the issue
-	// budget admit it). Squashed/recycled entries are invalidated lazily on
-	// pop/walk, like the completion events.
-	readyQ    []*uop
-	readyHeap eventHeap
+	// waiters lists — zero per-cycle cost), maturing in readyWheel (readyAt
+	// known but future, popped in (readyAt, seq) order), or issue-eligible
+	// in readyQ (age-sorted by seq; retried every cycle until a port and
+	// the issue budget admit it). Squashed/recycled entries are invalidated
+	// lazily on pop/walk, like the completion events.
+	readyQ     []*uop
+	readyWheel eventWheel
 
 	// events schedules completed-transitions: rename-complete uops enqueue
 	// at rename (due the next cycle), executing uops at issue (due their
 	// completeAt). complete() pops only the events due this cycle, so the
-	// writeback stage costs O(due events · log inflight) instead of a scan
-	// over everything renamed-but-not-completed. Events for squashed uops
-	// are left in place and invalidated lazily on pop via the seq snapshot.
-	events eventHeap
+	// writeback stage costs O(due events) instead of a scan over everything
+	// renamed-but-not-completed. Events for squashed uops are left in place
+	// and invalidated lazily on pop via the seq snapshot.
+	events eventWheel
 
 	// uop pool. free holds immediately-reusable uops. limbo holds uops
 	// that left the pipeline (retired or squashed) but may still be
@@ -112,7 +112,7 @@ func (t *threadState) reclaimLimbo() {
 }
 
 // recycle empties t for reuse by Core.Reset: every uop still in the IDQ,
-// ROB or limbo goes back on the free list, every other queue, heap and
+// ROB or limbo goes back on the free list, every other queue, wheel and
 // rename-table slot drops its pointers, and the stream and ELAR tracker are
 // let go. Only the buffers and the free list survive.
 func (t *threadState) recycle() {
@@ -124,17 +124,19 @@ func (t *threadState) recycle() {
 	t.lb.truncate(0)
 	t.sb.truncate(0)
 	t.window.truncate(0)
+	t.readyWheel.reset()
+	t.events.reset()
 	*t = threadState{
-		window:    t.window,
-		idq:       t.idq,
-		rob:       t.rob,
-		lb:        t.lb,
-		sb:        t.sb,
-		readyQ:    withRoom(t.readyQ, 0),
-		readyHeap: eventHeap{a: withRoom(t.readyHeap.a, 0)},
-		events:    eventHeap{a: withRoom(t.events.a, 0)},
-		free:      t.free,
-		limbo:     t.limbo,
+		window:     t.window,
+		idq:        t.idq,
+		rob:        t.rob,
+		lb:         t.lb,
+		sb:         t.sb,
+		readyQ:     withRoom(t.readyQ, 0),
+		readyWheel: t.readyWheel,
+		events:     t.events,
+		free:       t.free,
+		limbo:      t.limbo,
 	}
 }
 
@@ -238,16 +240,17 @@ func NewCore(cfg Config, att Attachments, hier *cache.Hierarchy, streams ...Stre
 // Reset makes c the core NewCore(cfg, att, hier, streams...) would build,
 // keeping the buffers it has already grown: every uop still in an IDQ, ROB or
 // limbo list goes back on its thread's free list, the rings, ready queues and
-// heaps are emptied in place, the memory-dependence and MRN tables are
+// event wheels are emptied in place, the memory-dependence and MRN tables are
 // cleared in place, and thread contexts are reused up to len(streams). With
 // att.BPred nil the core's own default predictor is reset rather than
 // rebuilt. hier must be fresh or reset (see cache.Hierarchy.Reset); Reset
 // attaches the L1-D prefetcher, L1-D predictor and AMT-I eviction hook to it.
 //
 // Reset restarts every thread's seqCounter at 0, so the seq snapshots that
-// lazily invalidate completion events, ready-heap entries and waiter
+// lazily invalidate completion events, maturing ready entries and waiter
 // registrations can no longer tell a stale entry of the previous run from a
-// live one. Reset therefore empties events, readyHeap and readyQ outright;
+// live one. Reset therefore empties events, readyWheel and readyQ outright
+// (each wheel's slots and overflow heap, restarting it at cycle 0);
 // uop.reset drops a recycled uop's stale waiters.
 func (c *Core) Reset(cfg Config, att Attachments, hier *cache.Hierarchy, streams ...Stream) {
 	if cfg.Threads != len(streams) {
@@ -325,8 +328,8 @@ func (c *Core) Reset(cfg Config, att Attachments, hier *cache.Hierarchy, streams
 		t.sb.reset(c.sbCap)
 		t.limbo.reset(c.robCap)
 		t.readyQ = withRoom(t.readyQ, cfg.RSSize)
-		t.readyHeap.a = withRoom(t.readyHeap.a, cfg.RSSize)
-		t.events.a = withRoom(t.events.a, c.robCap)
+		t.readyWheel.reset()
+		t.events.reset()
 		if att.ELAR != nil {
 			// ELAR state is per hardware context: thread 0 uses the caller's
 			// instance (so its counters are observable), extra threads get

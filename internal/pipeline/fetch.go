@@ -39,44 +39,43 @@ func (c *Core) fetchOne(t *threadState) bool {
 		return true
 	}
 
-	d, ok := c.nextDyn(t)
-	if !ok {
+	d := c.nextDyn(t)
+	if d == nil {
 		return false
 	}
 	t.seqCounter++
 	u := t.allocUop()
 	u.seq = t.seqCounter
 	u.thread = t.index
-	u.dyn = d
+	u.dyn = *d
 	t.idq.pushBack(u)
 	c.Stats.FetchedUops++
 
-	if d.Op.IsBranch() {
+	if u.dyn.Op.IsBranch() {
 		c.predictBranch(t, u)
 	}
 	return true
 }
 
-// nextDyn returns the next committed-path instruction for t, serving
-// replayed instructions from the window before pulling new ones.
-func (c *Core) nextDyn(t *threadState) (isa.DynInst, bool) {
-	idx := t.replayPos - t.windowBase
-	if int(idx) < t.window.len() {
-		d := t.window.at(int(idx))
-		t.replayPos++
-		return d, true
+// nextDyn returns the next committed-path instruction for t, or nil at the
+// end of its stream, serving replayed instructions from the window before
+// pulling new ones. The instruction stays in the window, and the pointer
+// is valid until the window next changes.
+func (c *Core) nextDyn(t *threadState) *isa.DynInst {
+	idx := int(t.replayPos - t.windowBase)
+	if idx >= t.window.len() {
+		if t.streamDone {
+			return nil
+		}
+		d, ok := t.stream.Next()
+		if !ok {
+			t.streamDone = true
+			return nil
+		}
+		t.window.pushBack(d)
 	}
-	if t.streamDone {
-		return isa.DynInst{}, false
-	}
-	d, ok := t.stream.Next()
-	if !ok {
-		t.streamDone = true
-		return isa.DynInst{}, false
-	}
-	t.window.pushBack(d)
 	t.replayPos++
-	return d, true
+	return t.window.ptr(idx)
 }
 
 // predictBranch consults the direction predictor / BTB / RAS and, on a

@@ -67,7 +67,7 @@ func (c *Core) flushYounger(t *threadState, seq uint64, inclusive bool) {
 	for t.sb.len() > 0 && t.sb.back().squashed {
 		t.sb.popBack()
 	}
-	// Completion events, ready-queue/heap entries and waiter registrations
+	// Completion events, ready-queue/wheel entries and waiter registrations
 	// of squashed uops stay where they are; every consumer of those
 	// structures validates squashed/seq lazily before acting.
 

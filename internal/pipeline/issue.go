@@ -12,7 +12,7 @@ import (
 // AGU-only execution holds it for one.
 //
 // Scheduling is wakeup-driven instead of a scan: RS entries whose readiness
-// cycle is known sit in readyHeap until it arrives, then move into readyQ
+// cycle is known sit in readyWheel until it arrives, then move into readyQ
 // (age-sorted) where they compete for the issue budget and ports; entries
 // with unresolved producers cost nothing until a wake delivers them. The
 // walk drops issued/squashed entries by compacting readyQ in place; a flush
@@ -24,8 +24,11 @@ func (c *Core) issue() {
 
 	for _, t := range c.threads {
 		// Mature ready entries into the age-ordered queue.
-		for t.readyHeap.len() > 0 && t.readyHeap.peek().due <= c.cycle {
-			ev := t.readyHeap.pop()
+		for {
+			ev, ok := t.readyWheel.popDue(c.cycle)
+			if !ok {
+				break
+			}
 			u := ev.u
 			if u.seq != ev.seq || u.squashed || !u.inRS || u.issued {
 				continue
@@ -116,12 +119,12 @@ func (t *threadState) insertReady(u *uop) {
 }
 
 // scheduleReady routes a uop whose readyAt just became known: future
-// readiness matures in the heap, already-reached readiness goes straight to
+// readiness matures in the wheel, already-reached readiness goes straight to
 // the ready queue (it competes for issue from the next cycle on, exactly as
 // a scan would have found it).
 func (c *Core) scheduleReady(t *threadState, u *uop) {
 	if u.readyAt > c.cycle {
-		t.readyHeap.push(u.readyAt, u)
+		t.readyWheel.push(u.readyAt, u)
 		return
 	}
 	t.insertReady(u)

@@ -51,7 +51,7 @@ func (c *Core) midRun() bool {
 	for _, t := range c.threads {
 		inFlight = inFlight || t.rob.len() > 0
 		wrongPath = wrongPath || t.pendingRedirect != nil
-		for _, ev := range t.events.a {
+		for _, ev := range t.events.held() {
 			staleEvent = staleEvent || ev.u.squashed || ev.u.seq != ev.seq
 		}
 	}
@@ -100,7 +100,7 @@ func TestResetMatchesNewCore(t *testing.T) {
 			for i, th := range c.threads[:max(len(pooled), len(c.threads))] {
 				// Seqs restart at 0, so no event or ready entry of the
 				// previous run may survive: its seq snapshot could match.
-				if th.events.len()+th.readyHeap.len()+len(th.readyQ) != 0 {
+				if !th.events.restarted() || !th.readyWheel.restarted() || len(th.readyQ) != 0 {
 					t.Errorf("thread %d kept completion events or ready entries across Reset", i)
 				}
 				if i < len(pooled) && len(th.free) != pooled[i] {
@@ -142,7 +142,8 @@ func TestReleaseDropsRunReferences(t *testing.T) {
 		if th.stream != nil || th.elar != nil || th.pendingRedirect != nil {
 			t.Errorf("thread %d still references its stream, ELAR tracker or redirect", i)
 		}
-		if th.idq.len()+th.rob.len()+th.limbo.len()+len(th.readyQ)+th.readyHeap.len()+th.events.len() != 0 {
+		if th.idq.len()+th.rob.len()+th.limbo.len()+len(th.readyQ)+
+			len(th.readyWheel.held())+len(th.events.held()) != 0 {
 			t.Errorf("thread %d still holds queued uops", i)
 		}
 		if len(th.free) == 0 {

@@ -43,6 +43,10 @@ func (r *ring[T]) len() int { return r.n }
 // at returns the entry at logical index i (0 = oldest).
 func (r *ring[T]) at(i int) T { return r.buf[(r.head+uint64(i))&r.mask] }
 
+// ptr returns the address of the entry at logical index i, valid until the
+// ring is next pushed to or popped from.
+func (r *ring[T]) ptr(i int) *T { return &r.buf[(r.head+uint64(i))&r.mask] }
+
 // set overwrites the entry at logical index i.
 func (r *ring[T]) set(i int, v T) { r.buf[(r.head+uint64(i))&r.mask] = v }
 

@@ -13,7 +13,7 @@ import (
 )
 
 // reuseSpecs are runs that between them leave every kind of state on the
-// pooled core and hierarchy: an AMT-I eviction hook, a swapped-in delta
+// parked core and hierarchy: an AMT-I eviction hook, a swapped-in delta
 // prefetcher, an L1-D predictor, two hardware contexts (one pair with
 // per-thread ELAR trackers), stacked EVES and Constable attachments, a
 // passed-in branch predictor and a core with half the ROB and RS.
@@ -54,7 +54,7 @@ func runSpecs(t *testing.T, specs []Options) []*RunResult {
 }
 
 // TestRunIndependentOfPreviousRun checks that a run's result does not depend
-// on which run used the pooled hierarchy before it: every spec, run right
+// on which run used the parked machine before it: every spec, run right
 // after each of the others, reproduces its first result exactly.
 func TestRunIndependentOfPreviousRun(t *testing.T) {
 	names, specs := reuseSpecs(t)
@@ -73,7 +73,7 @@ func TestRunIndependentOfPreviousRun(t *testing.T) {
 }
 
 // TestConcurrentRunsIndependentOfPreviousRun is the concurrent form: runs
-// on several goroutines take and return hierarchies through the pool in
+// on several goroutines take and return machines through the free list in
 // interleaved order, and every result still matches its sequential run.
 func TestConcurrentRunsIndependentOfPreviousRun(t *testing.T) {
 	names, specs := reuseSpecs(t)
@@ -100,13 +100,12 @@ func TestConcurrentRunsIndependentOfPreviousRun(t *testing.T) {
 }
 
 // TestShortRunSetupAllocations bounds what a short baseline run allocates
-// once the pool is warm. Building a fresh default hierarchy alone allocates
-// about 1.3 MB and a fresh core about 0.9 MB, so a run that stops reusing
-// either fails here.
+// once a machine is parked. Building a fresh default hierarchy alone
+// allocates about 1.3 MB, a fresh core about 0.9 MB and a thread's feeder
+// about 80 KB, so a run that stops reusing any of them fails here. The free
+// list hands back the parked machine under the race detector too, so the
+// test runs there as well.
 func TestShortRunSetupAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items at random")
-	}
 	opts := Options{Workload: spec(t, "server-kvstore-00"), Instructions: 4000}
 	runSpecs(t, []Options{opts, opts, opts})
 	var per []uint64

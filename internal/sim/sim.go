@@ -258,20 +258,6 @@ func StableAnalysis(spec *workload.Spec, apx bool, n uint64) (*inspector.Inspect
 	return ins, nil
 }
 
-// machines recycles cores together with their default memory hierarchies
-// across runs: building both allocates about 2.2 MB, while Core.Reset and
-// Hierarchy.Reset restore used ones in place. Run releases the core and
-// resets the hierarchy before returning a machine to the pool, so a pooled
-// machine holds none of the finished run's streams or attachments.
-var machines = sync.Pool{New: func() any {
-	return &machine{hier: cache.NewHierarchy(cache.DefaultHierarchyConfig())}
-}}
-
-type machine struct {
-	core pipeline.Core
-	hier *cache.Hierarchy
-}
-
 // Run executes one simulation and returns its result. It returns an error if
 // the workload cannot be built or the golden check fails.
 func Run(opts Options) (*RunResult, error) {
@@ -293,33 +279,31 @@ func Run(opts Options) (*RunResult, error) {
 		return nil, err
 	}
 
-	streams := make([]pipeline.Stream, opts.Threads)
 	wlStreams := make([]workload.Stream, opts.Threads)
-	for i := range streams {
+	for i := range wlStreams {
 		st, err := opts.Workload.NewStream(opts.APX, opts.Instructions)
 		if err != nil {
 			return nil, err
 		}
 		wlStreams[i] = st
-		streams[i] = st
 	}
 
-	m := machines.Get().(*machine)
-	defer func() {
-		m.core.Release()
-		m.hier.Reset()
-		machines.Put(m)
-	}()
+	// Each thread's stream runs ahead of the core on a feeder goroutine;
+	// park stops and joins the feeders on every return path.
+	m := takeMachine()
+	defer m.park()
 	hier, core := m.hier, &m.core
-	core.Reset(cfg, att, hier, streams...)
+	core.Reset(cfg, att, hier, m.feed(wlStreams)...)
 
 	// Generous cycle bound: IPC below 0.05 would indicate a deadlock.
 	maxCycles := opts.Instructions * uint64(opts.Threads) * 20
 	if maxCycles < 1_000_000 {
 		maxCycles = 1_000_000
 	}
-	if err := core.Run(maxCycles); err != nil {
-		return nil, fmt.Errorf("sim %s: %w", opts.Workload.Name, err)
+	runErr := core.Run(maxCycles)
+	m.halt() // the producers are done with the streams before Err is read
+	if runErr != nil {
+		return nil, fmt.Errorf("sim %s: %w", opts.Workload.Name, runErr)
 	}
 	for _, ws := range wlStreams {
 		if serr := ws.Err(); serr != nil {

@@ -41,6 +41,18 @@ type Spec struct {
 	Seed     int64
 	mixes    []mix
 	trace    *traceBacking
+
+	// programs memoizes NewCPU's Build, indexed by APX mode.
+	programs [2]builtProgram
+}
+
+// builtProgram is one memoized Build result. fsim.New copies the program's
+// initial registers and memory and only reads its code, so CPUs running
+// concurrently can share it.
+type builtProgram struct {
+	once sync.Once
+	p    *prog.Program
+	err  error
 }
 
 // Build assembles the workload's program. APX selects the 32-register
@@ -54,13 +66,18 @@ func (s *Spec) Build(apx bool) (*prog.Program, error) {
 	return buildProgram(s.Name, s.mixes, apx, rng)
 }
 
-// NewCPU builds the workload and returns a functional CPU for it.
+// NewCPU returns a functional CPU for the workload. The program is built
+// once per APX mode and shared by every CPU of the spec.
 func (s *Spec) NewCPU(apx bool) (*fsim.CPU, error) {
-	p, err := s.Build(apx)
-	if err != nil {
-		return nil, err
+	b := &s.programs[0]
+	if apx {
+		b = &s.programs[1]
 	}
-	return fsim.New(p), nil
+	b.once.Do(func() { b.p, b.err = s.Build(apx) })
+	if b.err != nil {
+		return nil, b.err
+	}
+	return fsim.New(b.p), nil
 }
 
 // archetype is a reusable kernel mix; each workload instantiates one with a

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sync"
 	"testing"
 
 	"constable/internal/fsim"
@@ -286,3 +287,44 @@ func maxU(a, b uint64) uint64 {
 }
 
 var _ = fsim.InitialWord // keep fsim import for documentation linkage
+
+// TestSharedProgramConcurrentCPUs steps two CPUs of one spec on two
+// goroutines. They share the spec's memoized program, and each must yield
+// the stream a CPU over a freshly built program yields.
+func TestSharedProgramConcurrentCPUs(t *testing.T) {
+	const n = 20_000
+	spec := SmallSuite()[0]
+	p, err := spec.Build(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := fsim.New(p)
+	want := make([]isa.DynInst, n)
+	for i := range want {
+		want[i] = ref.Step()
+	}
+
+	cpus := make([]*fsim.CPU, 2)
+	for i := range cpus {
+		if cpus[i], err = spec.NewCPU(false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cpus[0].Program() != cpus[1].Program() {
+		t.Error("two CPUs of one spec do not share its program")
+	}
+	var wg sync.WaitGroup
+	for g, cpu := range cpus {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range want {
+				if d := cpu.Step(); d != want[i] {
+					t.Errorf("CPU %d, instruction %d: %+v, want %+v", g, i, d, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
