@@ -66,7 +66,7 @@ run_sweep() { # base-url outfile [sweep-body]
 }
 
 say "building binaries"
-go build -o "$bindir/" ./cmd/constable-server ./cmd/constable-worker ./cmd/tracetool
+go build -o "$bindir/" ./cmd/constable-server ./cmd/constable-worker
 
 # boot_cluster name server-port server-extra-args w1-port w2-port
 boot_cluster() {
@@ -168,52 +168,6 @@ jq -s -e 'map(select(.cell != null) | .cell.result.identity.mechanism)
   "$workdir/interplay-dist.ndjson" >/dev/null || {
   echo "interplay cells did not carry qualified mechanism identities:" >&2
   jq -c 'select(.cell != null) | .cell.result.identity' "$workdir/interplay-dist.ndjson" >&2
-  exit 1; }
-
-say "capturing a trace and uploading it to the batched server"
-"$bindir/tracetool" -capture -workload server-kvstore-00 -n 20000 -o "$workdir/smoke.trace"
-upload=$(curl -sf --data-binary "@$workdir/smoke.trace" "http://127.0.0.1:$SERVER_PORT/v1/traces")
-hash=$(echo "$upload" | jq -r .hash)
-[ -n "$hash" ] && [ "$hash" != "null" ] || { echo "upload returned no hash: $upload" >&2; exit 1; }
-echo "$upload" | jq -e '.dedup != true and .instructions == 20000' >/dev/null || {
-  echo "first upload unexpectedly deduped or miscounted: $upload" >&2; exit 1; }
-
-say "re-uploading via tracetool to prove content-addressed dedup"
-"$bindir/tracetool" -upload "$workdir/smoke.trace" -server "http://127.0.0.1:$SERVER_PORT" \
-  | grep -q "dedup" || { echo "re-upload was not deduped" >&2; exit 1; }
-
-TRACE_SWEEP_BODY=$(cat <<EOF
-{
-  "workloads":  ["trace:$hash", "server-kvstore-00"],
-  "mechanisms": ["baseline", "constable"],
-  "instructions": 20000
-}
-EOF
-)
-
-say "running a trace-referenced sweep across the 2-worker cluster (workers fetch the trace by hash)"
-run_sweep "http://127.0.0.1:$SERVER_PORT" "$workdir/trace-dist.ndjson" "$TRACE_SWEEP_BODY"
-
-say "running the same trace sweep on the single-process server"
-curl -sf --data-binary "@$workdir/smoke.trace" "http://127.0.0.1:$LOCAL_PORT/v1/traces" >/dev/null
-run_sweep "http://127.0.0.1:$LOCAL_PORT" "$workdir/trace-local.ndjson" "$TRACE_SWEEP_BODY"
-
-say "diffing trace-sweep artifacts between distributed and single-process runs"
-normalize "$workdir/trace-dist.ndjson"  > "$workdir/trace-dist.norm"
-normalize "$workdir/trace-local.ndjson" > "$workdir/trace-local.norm"
-if ! diff -u "$workdir/trace-local.norm" "$workdir/trace-dist.norm"; then
-  echo "trace-referenced sweep artifacts differ between distributed and single-process runs" >&2
-  exit 1
-fi
-
-say "checking trace-store metrics on the batched server"
-curl -sf "http://127.0.0.1:$SERVER_PORT/metrics" | awk '
-  $1 == "constable_traces_uploaded_total" && $2 > 0 {up=1}
-  $1 == "constable_traces_deduped_total"  && $2 > 0 {de=1}
-  $1 == "constable_traces_fetched_total"  && $2 > 0 {fe=1}
-  END {exit !(up && de && fe)}' || {
-  echo "trace metrics check failed (need uploaded/deduped/fetched all > 0):" >&2
-  curl -s "http://127.0.0.1:$SERVER_PORT/metrics" | grep constable_trace >&2
   exit 1; }
 
 say "waiting for worker write-backs to land on the batched server's store"
@@ -328,4 +282,4 @@ curl -sf "http://127.0.0.1:$ADMIT_PORT/metrics" \
   curl -s "http://127.0.0.1:$ADMIT_PORT/metrics" | grep -E 'admission|class' >&2
   exit 1; }
 
-say "distributed smoke OK: 9/9 cells in both modes, all workers used, chunks dispatched, interplay sweep (qualified mechanisms) byte-identical, trace sweep byte-identical with fetch-by-hash, federated re-sweep executed zero cells, interactive latency bounded under a 100-cell sweep flood, admission control returned 429 + Retry-After, artifacts byte-identical"
+say "distributed smoke OK: 9/9 cells in both modes, all workers used, chunks dispatched, interplay sweep (qualified mechanisms) byte-identical, federated re-sweep executed zero cells, interactive latency bounded under a 100-cell sweep flood, admission control returned 429 + Retry-After, artifacts byte-identical"

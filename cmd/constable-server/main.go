@@ -81,7 +81,6 @@ func main() {
 		drain     = flag.Duration("drain", 30*time.Second, "graceful-shutdown timeout for running simulations")
 		resultsAt = flag.String("results-server", "", "base URL of an upstream constable-server whose result store this server consults before simulating and writes back to after (federation; empty disables)")
 		maxBody   = flag.Int64("max-body", 0, "max JSON request-body bytes on the API (0 = default 8 MiB)")
-		maxTrace  = flag.Int64("max-trace-body", 0, "max raw trace-upload bytes on POST /v1/traces (0 = default 256 MiB)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
 		queueMax  = flag.Int("queue-max", 0, "per-class queued-job watermark for admission control: over it, submissions get 429 + Retry-After; batch classes (sweeps) are exempt up to 64x this (0 disables)")
 		weights   = flag.String("class-weights", "", "fair-share dispatch weight overrides, comma-separated name=weight (defaults interactive=8,batch=1,default=4)")
@@ -97,7 +96,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := service.Config{Workers: *workers, CacheSize: *cacheSize, DataDir: *dataDir,
-		WorkerTTL: *workerTTL, MaxBatch: *batch, MaxBody: *maxBody, MaxTraceBody: *maxTrace,
+		WorkerTTL: *workerTTL, MaxBatch: *batch, MaxBody: *maxBody,
 		QueueMax: *queueMax, ClassWeights: classWeights}
 	if *resultsAt != "" {
 		cfg.Share = service.NewRemoteResultStore(*resultsAt)

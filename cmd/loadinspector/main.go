@@ -8,18 +8,12 @@
 //	loadinspector -workload client-browser-00 -n 500000
 //	loadinspector -all            # summary over the whole suite
 //	loadinspector -workload enterprise-appserver-00 -apx
-//	loadinspector -server http://localhost:8080 -trace <hash>
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net/http"
-	"strings"
-	"time"
 
 	"constable/internal/inspector"
 	"constable/internal/sim"
@@ -31,23 +25,14 @@ func main() {
 	log.SetPrefix("loadinspector: ")
 
 	var (
-		name   = flag.String("workload", "", "workload to analyze (empty with -all for the suite)")
-		n      = flag.Uint64("n", 300_000, "dynamic instructions to analyze")
-		apx    = flag.Bool("apx", false, "analyze the 32-register (APX) build")
-		all    = flag.Bool("all", false, "summarize every workload in the suite")
-		server = flag.String("server", "", "constable-server base URL for -trace analysis")
-		traceH = flag.String("trace", "", "analyze an uploaded trace by content hash (requires -server)")
+		name = flag.String("workload", "", "workload to analyze (empty with -all for the suite)")
+		n    = flag.Uint64("n", 300_000, "dynamic instructions to analyze")
+		apx  = flag.Bool("apx", false, "analyze the 32-register (APX) build")
+		all  = flag.Bool("all", false, "summarize every workload in the suite")
 	)
 	flag.Parse()
 
 	switch {
-	case *traceH != "":
-		if *server == "" {
-			log.Fatal("-trace requires -server <url>")
-		}
-		if err := remoteTraceAnalysis(*server, *traceH); err != nil {
-			log.Fatal(err)
-		}
 	case *all:
 		var loads, stable uint64
 		for _, spec := range workload.Suite() {
@@ -77,42 +62,6 @@ func main() {
 	default:
 		log.Fatal("pass -workload <name> or -all (see constable-sim -list for names)")
 	}
-}
-
-// remoteTraceAnalysis asks a running constable-server for the Load Inspector
-// report of an uploaded trace (GET /v1/traces/{hash}/analysis) — the analysis
-// runs server-side against the content-addressed trace store, so no trace
-// bytes need to exist locally.
-func remoteTraceAnalysis(server, hash string) error {
-	client := &http.Client{Timeout: 2 * time.Minute}
-	url := strings.TrimRight(server, "/") + "/v1/traces/" + hash + "/analysis"
-	resp, err := client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
-	}
-	var out struct {
-		Hash                 string            `json:"hash"`
-		Name                 string            `json:"name"`
-		GlobalStableFraction float64           `json:"global_stable_fraction"`
-		Report               *inspector.Report `json:"report"`
-	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		return fmt.Errorf("decoding analysis response: %w", err)
-	}
-	fmt.Printf("trace %s (workload %s)\n", out.Hash, out.Name)
-	if out.Report != nil {
-		fmt.Print(out.Report)
-	}
-	fmt.Printf("global-stable fraction: %.1f%%\n", 100*out.GlobalStableFraction)
-	return nil
 }
 
 func printModeDistances(ins *inspector.Inspector) {

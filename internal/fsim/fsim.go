@@ -248,5 +248,9 @@ func (s *Stream) Next() (isa.DynInst, bool) {
 	return s.cpu.Step(), true
 }
 
+// Err reports why the stream ended before its budget. The functional model
+// cannot fail mid-run, so it is always nil.
+func (s *Stream) Err() error { return nil }
+
 // CPU returns the underlying functional CPU (for golden-state inspection).
 func (s *Stream) CPU() *CPU { return s.cpu }

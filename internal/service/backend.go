@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"constable/internal/sim"
-	"constable/internal/workload"
 )
 
 // ErrBackendUnavailable marks an execution failure that is the backend's
@@ -106,14 +105,6 @@ type BatchExecuteResponse struct {
 	Items []BatchExecuteItem `json:"items"`
 }
 
-// workloadResolverSetter is implemented by backends that resolve workload
-// names themselves (LocalBackend) so the owning scheduler can teach them
-// about trace-backed workloads. Remote backends don't need it: the worker's
-// own scheduler resolves on its side.
-type workloadResolverSetter interface {
-	setWorkloadResolver(WorkloadResolver)
-}
-
 // LocalBackend executes jobs in-process on the scheduler's own machine.
 type LocalBackend struct {
 	name     string
@@ -121,13 +112,7 @@ type LocalBackend struct {
 	// run executes one simulation (sim.Run in production; tests substitute
 	// a stub through the scheduler's runFn indirection).
 	run func(sim.Options) (*sim.RunResult, error)
-	// resolve maps workload names to Specs (workload.ByName when nil). The
-	// owning scheduler installs its trace-aware resolver at Open, before
-	// dispatch starts.
-	resolve WorkloadResolver
 }
-
-func (l *LocalBackend) setWorkloadResolver(r WorkloadResolver) { l.resolve = r }
 
 // NewLocalBackend returns an in-process backend running up to capacity
 // concurrent simulations through run (sim.Run when nil). A capacity ≤ 0
@@ -154,11 +139,7 @@ func (l *LocalBackend) Capacity() int { return l.capacity }
 // (never ErrBackendUnavailable): the process that would retry the job is
 // the same one that just failed it.
 func (l *LocalBackend) Execute(ctx context.Context, spec JobSpec, hash string) (*sim.RunResult, error) {
-	resolve := l.resolve
-	if resolve == nil {
-		resolve = workload.ByName
-	}
-	opts, err := spec.ToOptionsWith(resolve)
+	opts, err := spec.ToOptions()
 	if err != nil {
 		return nil, err
 	}

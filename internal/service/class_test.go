@@ -434,9 +434,9 @@ func TestAPISweepTenantClass(t *testing.T) {
 }
 
 // BenchmarkSchedulerMixedLoad measures interactive submit→result latency
-// while a feeder keeps the batch class flooded — the number CI tracks as
-// BENCH_sched.json. The custom metric is the average end-to-end wait of one
-// interactive job under contention.
+// while a background submitter keeps the batch class flooded — the number
+// CI tracks as BENCH_sched.json. The custom metric is the average
+// end-to-end wait of one interactive job under contention.
 func BenchmarkSchedulerMixedLoad(b *testing.B) {
 	fn := func(opts sim.Options) (*sim.RunResult, error) {
 		time.Sleep(100 * time.Microsecond)
@@ -447,7 +447,7 @@ func BenchmarkSchedulerMixedLoad(b *testing.B) {
 	s.runFn = fn
 	name := workload.SmallSuite()[0].Name
 
-	// Feeder: keep ~256 batch cells queued at all times.
+	// Background submitter: keep ~256 batch cells queued at all times.
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {

@@ -5,12 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
 
-	"constable/internal/inspector"
 	"constable/internal/sim"
 	"constable/internal/workload"
 )
@@ -137,12 +135,7 @@ func APIRoutes() []string {
 //	GET  /v1/workers                  list registered workers
 //	POST /v1/workers/{id}/heartbeat   renew a worker's lease
 //	DELETE /v1/workers/{id}           deregister a worker
-//	POST /v1/traces                   upload a raw trace; returns its content hash
-//	GET  /v1/traces                   list uploaded traces
-//	GET  /v1/traces/{hash}            download a trace's raw bytes
-//	DELETE /v1/traces/{hash}          delete an uploaded trace
-//	GET  /v1/traces/{hash}/analysis   server-side Load Inspector report
-//	GET  /v1/workloads                list workloads (built-in suite + uploaded traces)
+//	GET  /v1/workloads                list the built-in workload suite
 //	GET  /v1/mechanisms               list mechanism presets (name, description)
 //	GET  /metrics                     plaintext scheduler metrics
 //	GET  /healthz                     liveness probe
@@ -433,120 +426,15 @@ func routesFor(s *Scheduler) []apiRoute {
 			writeJSON(w, http.StatusOK, map[string]any{"id": id, "deregistered": true})
 		}},
 
-		{"POST /v1/traces", func(w http.ResponseWriter, r *http.Request) {
-			data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxTraceBody))
-			if err != nil {
-				var maxErr *http.MaxBytesError
-				if errors.As(err, &maxErr) {
-					httpError(w, http.StatusRequestEntityTooLarge,
-						fmt.Sprintf("trace exceeds %d bytes", maxErr.Limit))
-					return
-				}
-				httpError(w, http.StatusBadRequest, "reading body: "+err.Error())
-				return
-			}
-			info, existed, err := s.traces.Put(data)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "invalid trace: "+err.Error())
-				return
-			}
-			status := http.StatusCreated
-			if existed {
-				status = http.StatusOK // idempotent re-upload
-			}
-			writeJSON(w, status, struct {
-				TraceInfo
-				Dedup bool `json:"dedup,omitempty"`
-			}{info, existed})
-		}},
-
-		{"GET /v1/traces", func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusOK, s.traces.List())
-		}},
-
-		{"GET /v1/traces/{hash}", func(w http.ResponseWriter, r *http.Request) {
-			hash := r.PathValue("hash")
-			data, err := s.traces.Get(hash)
-			if err != nil {
-				httpError(w, http.StatusNotFound, err.Error())
-				return
-			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-			w.Write(data)
-		}},
-
-		{"DELETE /v1/traces/{hash}", func(w http.ResponseWriter, r *http.Request) {
-			hash := r.PathValue("hash")
-			existed, err := s.traces.Delete(hash)
-			if err != nil {
-				httpError(w, http.StatusInternalServerError, err.Error())
-				return
-			}
-			if !existed {
-				httpError(w, http.StatusNotFound, "unknown trace "+hash)
-				return
-			}
-			writeJSON(w, http.StatusOK, map[string]any{"hash": hash, "deleted": true})
-		}},
-
-		{"GET /v1/traces/{hash}/analysis", func(w http.ResponseWriter, r *http.Request) {
-			hash := r.PathValue("hash")
-			spec, err := s.traces.Resolve(hash)
-			if err != nil {
-				httpError(w, http.StatusNotFound, err.Error())
-				return
-			}
-			st, err := spec.NewStream(false, 0)
-			if err != nil {
-				httpError(w, http.StatusInternalServerError, err.Error())
-				return
-			}
-			ins := inspector.New()
-			for {
-				d, ok := st.Next()
-				if !ok {
-					break
-				}
-				ins.Observe(&d)
-			}
-			if err := st.Err(); err != nil {
-				httpError(w, http.StatusInternalServerError, "trace decode: "+err.Error())
-				return
-			}
-			rep := ins.Report()
-			writeJSON(w, http.StatusOK, struct {
-				Hash                 string            `json:"hash"`
-				Name                 string            `json:"name"`
-				GlobalStableFraction float64           `json:"global_stable_fraction"`
-				Report               *inspector.Report `json:"report"`
-			}{hash, spec.Name, rep.GlobalStableFraction(), rep})
-		}},
-
 		{"GET /v1/workloads", func(w http.ResponseWriter, r *http.Request) {
 			type wl struct {
 				Name     string `json:"name"`
 				Category string `json:"category"`
-				// Trace-backed entries only.
-				Hash         string    `json:"hash,omitempty"`
-				Instructions uint64    `json:"instructions,omitempty"`
-				Bytes        int64     `json:"bytes,omitempty"`
-				UploadedAt   time.Time `json:"uploaded_at,omitzero"`
 			}
 			suite := workload.Suite()
-			out := make([]wl, len(suite), len(suite)+s.traces.Stats().stored)
+			out := make([]wl, len(suite))
 			for i, spec := range suite {
 				out[i] = wl{Name: spec.Name, Category: string(spec.Category)}
-			}
-			for _, info := range s.traces.List() {
-				out = append(out, wl{
-					Name:         info.Name,
-					Category:     string(workload.Trace),
-					Hash:         info.Hash,
-					Instructions: info.Instructions,
-					Bytes:        info.Bytes,
-					UploadedAt:   info.UploadedAt,
-				})
 			}
 			writeJSON(w, http.StatusOK, out)
 		}},
@@ -592,11 +480,6 @@ func Serve(addr string, s *Scheduler) *http.Server {
 func submitStatus(err error) int {
 	if errors.Is(err, ErrShuttingDown) {
 		return http.StatusServiceUnavailable
-	}
-	if errors.Is(err, ErrTraceUnavailable) {
-		// The spec references a trace this server doesn't have — the name
-		// is well-formed, the resource is absent.
-		return http.StatusNotFound
 	}
 	return http.StatusBadRequest
 }

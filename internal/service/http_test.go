@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -273,6 +274,12 @@ func TestAPIBadRequests(t *testing.T) {
 		{"empty batch", func() *http.Response {
 			return postJSON(t, srv.URL+"/v1/runs/batch", []JobSpec{})
 		}},
+		{"stale trace name (run)", func() *http.Response {
+			return postJSON(t, srv.URL+"/v1/runs", JobSpec{Workload: staleTraceName})
+		}},
+		{"stale trace name (sweep)", func() *http.Response {
+			return postJSON(t, srv.URL+"/v1/sweeps", SweepRequest{Workloads: []string{staleTraceName}})
+		}},
 	} {
 		resp := tc.do()
 		resp.Body.Close()
@@ -291,6 +298,41 @@ func TestAPIBadRequests(t *testing.T) {
 	}
 }
 
+// staleTraceName has the shape of a workload name that referenced an
+// uploaded trace by its sha256. No such workload exists.
+var staleTraceName = "trace:" + strings.Repeat("ab", 32)
+
+func TestAPIBodyLimits(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Workers: 1, MaxBody: 256}, countingRun(new(atomic.Uint64)))
+	name := testWorkload(t)
+
+	// JSON endpoints cut an oversized body off with a 413 JSON error.
+	huge := fmt.Sprintf(`{"workload":%q,"instructions":1000,"mechanism":"%s"}`,
+		name, strings.Repeat("x", 512))
+	resp, err := http.Post(srv.URL+"/v1/runs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized run spec: status %d (%s), want 413", resp.StatusCode, body)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+		t.Fatalf("413 response is not a JSON error: %q", body)
+	}
+
+	// Within the limit the same route still works.
+	resp = postJSON(t, srv.URL+"/v1/runs", JobSpec{Workload: name, Instructions: 1000})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("in-limit run spec: status %d, want 202", resp.StatusCode)
+	}
+}
+
 func TestAPIWorkloadsAndMechanisms(t *testing.T) {
 	srv, _ := newTestServer(t, Config{Workers: 1}, countingRun(new(atomic.Uint64)))
 
@@ -299,12 +341,17 @@ func TestAPIWorkloadsAndMechanisms(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Body.Close()
-	var wls []struct{ Name, Category string }
+	var wls []map[string]string
 	if err := json.NewDecoder(r.Body).Decode(&wls); err != nil {
 		t.Fatal(err)
 	}
 	if len(wls) != 90 {
 		t.Errorf("listed %d workloads, want 90", len(wls))
+	}
+	for _, wl := range wls {
+		if len(wl) != 2 || wl["name"] == "" || wl["category"] == "" {
+			t.Fatalf("workload entry %v, want exactly a name and a category", wl)
+		}
 	}
 
 	r2, err := http.Get(srv.URL + "/v1/mechanisms")

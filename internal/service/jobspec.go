@@ -113,8 +113,7 @@ func MechanismNames() []string { return sim.MechanismNames() }
 
 // ParseMechanism resolves a named mechanism configuration through sim's
 // mechanism registry — the single name→configuration table shared by
-// constable-sim's -mech flag, tracetool's replay, and the HTTP API's
-// "mechanism" field.
+// constable-sim's -mech flag and the HTTP API's "mechanism" field.
 func ParseMechanism(s string) (MechSpec, error) {
 	m, err := sim.MechanismByName(s)
 	if err != nil {
@@ -232,26 +231,13 @@ type JobSpec struct {
 
 // Canonical returns the spec with defaults applied and the named mechanism
 // resolved, so equivalent specs compare and hash equal. It errors on an
-// unknown workload or mechanism name. A "trace:<hash>" workload is validated
-// syntactically only — the hash is content-addressed, so the name alone pins
-// what will be simulated; whether the trace bytes are present is a question
-// for submission time (the scheduler) and execution time (the backend), not
-// for hashing. That keeps Canonical/Hash usable on workers before the trace
-// has been fetched.
+// unknown workload or mechanism name.
 func (s JobSpec) Canonical() (JobSpec, error) {
 	c := s
 	// Tenant routes the job to a scheduling class; it does not change what
 	// is simulated, so it must not differentiate content hashes.
 	c.Tenant = ""
-	if workload.IsTraceName(c.Workload) {
-		if _, err := workload.TraceHash(c.Workload); err != nil {
-			return c, err
-		}
-		// Trace replay is register-file-agnostic (the captured stream fixes
-		// the operands), so APX does not change the simulation; canonicalize
-		// it away for better cross-spec dedup.
-		c.APX = false
-	} else if _, err := workload.ByName(c.Workload); err != nil {
+	if _, err := workload.ByName(c.Workload); err != nil {
 		return c, err
 	}
 	if c.Mechanism != "" {
@@ -304,26 +290,13 @@ func (s JobSpec) Hash() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// WorkloadResolver maps a canonical workload name to its Spec. The default
-// resolver knows only the built-in suite; the scheduler supplies one that
-// also resolves "trace:<hash>" references through its trace store.
-type WorkloadResolver func(name string) (*workload.Spec, error)
-
-// ToOptions resolves the canonical spec into runnable sim.Options using the
-// built-in suite only. Specs that reference uploaded traces need
-// ToOptionsWith and a trace-aware resolver.
+// ToOptions resolves the canonical spec into runnable sim.Options.
 func (s JobSpec) ToOptions() (sim.Options, error) {
-	return s.ToOptionsWith(workload.ByName)
-}
-
-// ToOptionsWith resolves the canonical spec into runnable sim.Options,
-// resolving the workload name through resolve.
-func (s JobSpec) ToOptionsWith(resolve WorkloadResolver) (sim.Options, error) {
 	c, err := s.Canonical()
 	if err != nil {
 		return sim.Options{}, err
 	}
-	spec, err := resolve(c.Workload)
+	spec, err := workload.ByName(c.Workload)
 	if err != nil {
 		return sim.Options{}, err
 	}

@@ -92,6 +92,8 @@ func TestCanonicalRejectsBadSpecs(t *testing.T) {
 		{Workload: "no-such-workload"},
 		{Workload: name, Mechanism: "warp-drive"},
 		{Workload: name, Threads: 3},
+		// A trace-reference name is an unknown workload.
+		{Workload: staleTraceName},
 	} {
 		if _, err := spec.Canonical(); err == nil {
 			t.Errorf("Canonical(%+v) succeeded, want error", spec)

@@ -118,18 +118,6 @@ type MetricsSnapshot struct {
 	StoreRemoteWritebacks uint64 `json:"store_remote_writebacks"`
 	StoreRemoteRejected   uint64 `json:"store_remote_rejected"`
 
-	// Trace-store families. TracesFetched counts every hash-verified blob
-	// read served out of the store — worker downloads and local resolves
-	// alike; TracesCorrupt counts blobs rejected on hash or decode
-	// verification.
-	TracesUploaded   uint64 `json:"traces_uploaded"`
-	TracesDeduped    uint64 `json:"traces_deduped"`
-	TracesFetched    uint64 `json:"traces_fetched"`
-	TracesDeleted    uint64 `json:"traces_deleted"`
-	TracesCorrupt    uint64 `json:"traces_corrupt"`
-	TracesStored     int    `json:"traces_stored"`
-	TraceBytesStored int64  `json:"trace_bytes_stored"`
-
 	SimInstructions       uint64  `json:"sim_instructions"`
 	SimInstructionsPerSec float64 `json:"sim_instructions_per_sec"`
 
@@ -203,14 +191,6 @@ func (s *Scheduler) Metrics() MetricsSnapshot {
 		m.StoreErrors = st.errors
 		m.StoreCorrupt = st.corrupt
 	}
-	ts := s.traces.Stats()
-	m.TracesUploaded = ts.uploaded
-	m.TracesDeduped = ts.deduped
-	m.TracesFetched = ts.fetched
-	m.TracesDeleted = ts.deleted
-	m.TracesCorrupt = ts.corrupt
-	m.TracesStored = ts.stored
-	m.TraceBytesStored = ts.bytes
 	for _, w := range s.backend.Workers() {
 		if w.Healthy {
 			m.WorkersActive++
@@ -298,13 +278,6 @@ func (m MetricsSnapshot) WriteTo(w io.Writer) (int64, error) {
 		{"store_remote_misses_total", m.StoreRemoteMisses},
 		{"store_remote_writebacks_total", m.StoreRemoteWritebacks},
 		{"store_remote_rejected_total", m.StoreRemoteRejected},
-		{"traces_uploaded_total", m.TracesUploaded},
-		{"traces_deduped_total", m.TracesDeduped},
-		{"traces_fetched_total", m.TracesFetched},
-		{"traces_deleted_total", m.TracesDeleted},
-		{"traces_corrupt_total", m.TracesCorrupt},
-		{"traces_stored", m.TracesStored},
-		{"trace_bytes_stored", m.TraceBytesStored},
 		{"sim_instructions_total", m.SimInstructions},
 		{"sim_instructions_per_second", m.SimInstructionsPerSec},
 		{"admission_rejected_total", m.AdmissionRejected},

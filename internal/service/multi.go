@@ -151,16 +151,6 @@ func NewMultiBackend(local Backend) *MultiBackend {
 	return m
 }
 
-// setWorkloadResolver forwards the scheduler's trace-aware workload
-// resolver to the wrapped local backend, when it wants one (remote workers
-// resolve through their own schedulers). Called once at Open, before
-// dispatch starts.
-func (m *MultiBackend) setWorkloadResolver(r WorkloadResolver) {
-	if s, ok := m.local.backend.(workloadResolverSetter); ok {
-		s.setWorkloadResolver(r)
-	}
-}
-
 // Name implements Backend.
 func (m *MultiBackend) Name() string { return "multi" }
 

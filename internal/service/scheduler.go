@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
 
 	"constable/internal/sim"
-	"constable/internal/workload"
 )
 
 // JobStatus is the lifecycle state of a submitted job.
@@ -160,20 +158,11 @@ type Config struct {
 	// result store: every finished result is written there (one JSON file
 	// per JobSpec hash, sharded, atomically renamed into place) and LRU
 	// misses fall through to it, so results survive restarts and are
-	// shared between processes pointing at the same directory. Uploaded
-	// traces persist under its traces/ subdirectory; without a DataDir the
-	// trace store is memory-only.
+	// shared between processes pointing at the same directory.
 	DataDir string
-	// TraceFetch, when set, lets the trace store retrieve missing trace
-	// bytes by content hash — workers install a closure that downloads
-	// GET /v1/traces/{hash} from their server. Fetched bytes are verified
-	// against the requested hash before use.
-	TraceFetch TraceFetchFunc
 	// MaxBody caps HTTP request bodies on the JSON API routes (bytes;
-	// default 8 MiB). MaxTraceBody is the separate, larger cap for raw
-	// trace uploads on POST /v1/traces (default 256 MiB).
-	MaxBody      int64
-	MaxTraceBody int64
+	// default 8 MiB).
+	MaxBody int64
 	// Share, when set, connects this scheduler to a cluster-wide result
 	// store: a submitted spec that misses the local LRU and disk store is
 	// looked up there before queueing (a hit completes the job without
@@ -219,12 +208,10 @@ type SubmitOptions struct {
 type Scheduler struct {
 	backend *MultiBackend
 	results resultTiers
-	traces  *traceStore // always non-nil; memory-only without Config.DataDir
 
-	// maxBody / maxTraceBody are the HTTP request-body caps the handler
-	// enforces (Config.MaxBody / Config.MaxTraceBody, defaulted).
-	maxBody      int64
-	maxTraceBody int64
+	// maxBody is the HTTP request-body cap the handler enforces
+	// (Config.MaxBody, defaulted).
+	maxBody int64
 	// runFn executes one local simulation; tests substitute a stub. The
 	// default LocalBackend reads it through a closure at execution time, so
 	// installing a stub after Open but before the first Submit works.
@@ -285,37 +272,26 @@ func Open(cfg Config) (*Scheduler, error) {
 	if cfg.MaxBody <= 0 {
 		cfg.MaxBody = 8 << 20 // 8 MiB
 	}
-	if cfg.MaxTraceBody <= 0 {
-		cfg.MaxTraceBody = 256 << 20 // 256 MiB
-	}
 	s := &Scheduler{
-		runFn:        sim.Run,
-		queues:       newMultiQueue(cfg.ClassWeights, cfg.QueueMax),
-		byID:         make(map[string]*Job),
-		inflight:     make(map[string]*Job),
-		retention:    cfg.JobRetention,
-		maxBatch:     cfg.MaxBatch,
-		maxBody:      cfg.MaxBody,
-		maxTraceBody: cfg.MaxTraceBody,
-		sweeps:       make(map[string]*Sweep),
-		janitorStop:  make(chan struct{}),
+		runFn:       sim.Run,
+		queues:      newMultiQueue(cfg.ClassWeights, cfg.QueueMax),
+		byID:        make(map[string]*Job),
+		inflight:    make(map[string]*Job),
+		retention:   cfg.JobRetention,
+		maxBatch:    cfg.MaxBatch,
+		maxBody:     cfg.MaxBody,
+		sweeps:      make(map[string]*Sweep),
+		janitorStop: make(chan struct{}),
 	}
 	s.dispatchCtx, s.dispatchCancel = context.WithCancel(context.Background())
 	s.results = resultTiers{cache: newResultCache(cfg.CacheSize), share: cfg.Share, metrics: &s.metrics, wg: &s.wg}
-	traceDir := ""
 	if cfg.DataDir != "" {
 		store, err := newResultStore(cfg.DataDir)
 		if err != nil {
 			return nil, err
 		}
 		s.results.store = store
-		traceDir = filepath.Join(cfg.DataDir, "traces")
 	}
-	traces, err := newTraceStore(traceDir, cfg.TraceFetch)
-	if err != nil {
-		return nil, err
-	}
-	s.traces = traces
 	base := cfg.Backend
 	if base == nil {
 		// The closure defers the runFn read to execution time (test stubs).
@@ -328,7 +304,6 @@ func Open(cfg Config) (*Scheduler, error) {
 	}
 	s.backend.maxBatch = s.maxBatch
 	s.backend.onChange = s.wake
-	s.backend.setWorkloadResolver(s.resolveWorkload)
 	s.backend.resultLookup = func(hash string) *sim.RunResult { return s.results.lookup(hash, false) }
 	s.cond = sync.NewCond(&s.mu)
 	s.wg.Add(1)
@@ -395,30 +370,9 @@ func Default() *Scheduler {
 	return defaultSch
 }
 
-// resolveWorkload maps a canonical workload name to its Spec: suite names
-// through the built-in registry, "trace:<hash>" references through the trace
-// store (fetching by hash when the store has a fetch path). It is the
-// WorkloadResolver the local backend executes with.
-func (s *Scheduler) resolveWorkload(name string) (*workload.Spec, error) {
-	if workload.IsTraceName(name) {
-		h, err := workload.TraceHash(name)
-		if err != nil {
-			return nil, err
-		}
-		return s.traces.Resolve(h)
-	}
-	return workload.ByName(name)
-}
-
-// Traces exposes the scheduler's trace store to the HTTP layer and tools.
-func (s *Scheduler) Traces() *traceStore { return s.traces }
-
 // Submit validates spec, assigns a job ID and either enqueues the work or
 // resolves it immediately from the result cache. Submitting a spec whose
 // hash matches a job still queued or running returns that existing job.
-// A trace-referenced spec is resolved up front — on a worker this is what
-// triggers the fetch-by-hash from the server — so a job for an unavailable
-// trace fails at submission (ErrTraceUnavailable) rather than mid-dispatch.
 // The job joins the interactive scheduling class; SubmitWith chooses.
 func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	return s.SubmitWith(spec, SubmitOptions{})
@@ -438,11 +392,6 @@ func (s *Scheduler) SubmitWith(spec JobSpec, opts SubmitOptions) (*Job, error) {
 	hash, err := canonical.Hash()
 	if err != nil {
 		return nil, err
-	}
-	if workload.IsTraceName(canonical.Workload) {
-		if _, err := s.resolveWorkload(canonical.Workload); err != nil {
-			return nil, err
-		}
 	}
 
 	s.mu.Lock()

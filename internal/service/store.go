@@ -117,17 +117,12 @@ func (st *resultStore) Save(hash string, res *sim.RunResult) error {
 	return nil
 }
 
-// Len walks the store and returns the number of persisted results. The
-// traces/ subtree belongs to the trace store — its metadata sidecars are
-// JSON files too and must not count as results.
+// Len walks the store and returns the number of persisted results.
 func (st *resultStore) Len() int {
 	n := 0
 	filepath.WalkDir(st.dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return nil
-		}
-		if d.IsDir() && path == filepath.Join(st.dir, "traces") {
-			return filepath.SkipDir
 		}
 		if !d.IsDir() && filepath.Ext(path) == ".json" {
 			n++

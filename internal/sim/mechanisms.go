@@ -19,7 +19,7 @@ type MechanismPreset struct {
 }
 
 // mechanismPresets is THE mechanism name→configuration table. Every consumer
-// — the service API, the CLIs, the examples — resolves names through it, so
+// — the service API and the CLIs — resolves names through it, so
 // adding a preset here makes it available everywhere at once. A preset fixes
 // the table-based mechanism set; the component axes (bpred, prefetch,
 // l1dpred) compose orthogonally on top via qualified names, e.g.
@@ -333,8 +333,8 @@ func (m Mechanism) ResolvedL1DPredConfig() (cache.L1DPredConfig, bool) {
 // mechanisms (Constable, EVES, RFP, ELAR) and component axes (branch
 // predictor, L1-D prefetcher, L1-D hit/miss predictor). The oracle
 // mechanisms need a per-workload stable-load pre-pass and are layered on by
-// Run; callers that drive a Core directly (trace replay) use this to honor
-// the registry without duplicating the construction logic. It reports
+// Run; callers that drive a Core directly use this to honor the registry
+// without duplicating the construction logic. It reports
 // unknown axis variants and invalid config overrides.
 func (m Mechanism) NewAttachments() (pipeline.Attachments, *constable.Constable, *vpred.EVES, error) {
 	var att pipeline.Attachments

@@ -99,10 +99,64 @@ func TestConcurrentRunsIndependentOfPreviousRun(t *testing.T) {
 	wg.Wait()
 }
 
+// parkedMachines returns the free list's machines, checking that none of
+// them still holds a finished run's streams.
+func parkedMachines(t *testing.T) []*machine {
+	t.Helper()
+	machines.Lock()
+	defer machines.Unlock()
+	for _, m := range machines.free {
+		if len(m.streams) != 0 {
+			t.Errorf("parked machine holds %d streams", len(m.streams))
+		}
+	}
+	return append([]*machine(nil), machines.free...)
+}
+
+// dropMachines empties the free list, so the next run builds a new machine.
+func dropMachines() {
+	machines.Lock()
+	machines.free = nil
+	machines.Unlock()
+}
+
+// TestMachineFreeListReusesOneMachine runs simulations one after another,
+// each from a goroutine of its own and some after garbage collections: they
+// all share one machine, which a sync.Pool did not guarantee (it empties on
+// two collections, and the race detector makes it drop items at random).
+func TestMachineFreeListReusesOneMachine(t *testing.T) {
+	dropMachines()
+	opts := Options{Workload: spec(t, "server-kvstore-00"), Instructions: 1000}
+	var first *machine
+	for i := range 100 {
+		if i%10 == 9 {
+			runtime.GC()
+			runtime.GC()
+		}
+		errc := make(chan error)
+		go func() {
+			_, err := Run(opts)
+			errc <- err
+		}()
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		parked := parkedMachines(t)
+		if len(parked) != 1 {
+			t.Fatalf("run %d: %d machines parked, want 1", i, len(parked))
+		}
+		if first == nil {
+			first = parked[0]
+		} else if parked[0] != first {
+			t.Fatalf("run %d built a new machine", i)
+		}
+	}
+}
+
 // TestShortRunSetupAllocations bounds what a short baseline run allocates
 // once a machine is parked. Building a fresh default hierarchy alone
-// allocates about 1.3 MB, a fresh core about 0.9 MB and a thread's feeder
-// about 80 KB, so a run that stops reusing any of them fails here. The free
+// allocates about 1.3 MB and a fresh core about 0.9 MB, so a run that stops
+// reusing either of them fails here. The free
 // list hands back the parked machine under the race detector too, so the
 // test runs there as well.
 func TestShortRunSetupAllocations(t *testing.T) {

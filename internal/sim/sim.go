@@ -1,8 +1,8 @@
 // Package sim wires workloads, the core model, the memory hierarchy,
 // Constable and the competing mechanisms into runnable configurations, and
-// is the entry point the experiment drivers, the CLI tools and the examples
-// use. It owns the golden-check methodology (§8.5): every run verifies each
-// retiring load against the functional model and fails loudly on a mismatch.
+// is the entry point the experiment drivers and the CLI tools use. It owns
+// the golden-check methodology (§8.5): every run verifies each retiring
+// load against the functional model and fails loudly on a mismatch.
 //
 // Run returns a structured RunResult — identity, configuration digest,
 // cycles/IPC, the counter snapshot populated through the stats registry,
@@ -231,9 +231,7 @@ type stableKey struct {
 }
 
 // StableAnalysis runs the Load Inspector pre-pass over the first n
-// instructions of the workload and returns the analysis (memoized). Trace
-// names are content hashes, so the (name, apx, n) memo key stays sound for
-// trace-backed specs.
+// instructions of the workload and returns the analysis (memoized).
 func StableAnalysis(spec *workload.Spec, apx bool, n uint64) (*inspector.Inspector, error) {
 	key := stableKey{spec.Name, apx, n}
 	if v, ok := stableCache.Load(key); ok {
@@ -244,15 +242,8 @@ func StableAnalysis(spec *workload.Spec, apx bool, n uint64) (*inspector.Inspect
 		return nil, err
 	}
 	ins := inspector.New()
-	for i := uint64(0); i < n; i++ {
-		d, ok := st.Next()
-		if !ok {
-			break
-		}
+	for d, ok := st.Next(); ok; d, ok = st.Next() {
 		ins.Observe(&d)
-	}
-	if err := st.Err(); err != nil {
-		return nil, fmt.Errorf("sim %s: stable pre-pass: %w", spec.Name, err)
 	}
 	stableCache.Store(key, ins)
 	return ins, nil
@@ -279,46 +270,28 @@ func Run(opts Options) (*RunResult, error) {
 		return nil, err
 	}
 
-	wlStreams := make([]workload.Stream, opts.Threads)
-	for i := range wlStreams {
+	m := takeMachine()
+	defer m.park()
+	for range opts.Threads {
 		st, err := opts.Workload.NewStream(opts.APX, opts.Instructions)
 		if err != nil {
 			return nil, err
 		}
-		wlStreams[i] = st
+		m.streams = append(m.streams, st)
 	}
-
-	// Each thread's stream runs ahead of the core on a feeder goroutine;
-	// park stops and joins the feeders on every return path.
-	m := takeMachine()
-	defer m.park()
 	hier, core := m.hier, &m.core
-	core.Reset(cfg, att, hier, m.feed(wlStreams)...)
+	core.Reset(cfg, att, hier, m.streams...)
 
 	// Generous cycle bound: IPC below 0.05 would indicate a deadlock.
 	maxCycles := opts.Instructions * uint64(opts.Threads) * 20
 	if maxCycles < 1_000_000 {
 		maxCycles = 1_000_000
 	}
-	runErr := core.Run(maxCycles)
-	m.halt() // the producers are done with the streams before Err is read
-	if runErr != nil {
-		return nil, fmt.Errorf("sim %s: %w", opts.Workload.Name, runErr)
-	}
-	for _, ws := range wlStreams {
-		if serr := ws.Err(); serr != nil {
-			return nil, fmt.Errorf("sim %s: %w", opts.Workload.Name, serr)
-		}
+	if err := core.Run(maxCycles); err != nil {
+		return nil, fmt.Errorf("sim %s: %w", opts.Workload.Name, err)
 	}
 	st := core.Stats
-	// A trace shorter than the budget ends the stream early; that is the
-	// whole trace replayed, not a deadlock.
-	perThread := opts.Instructions
-	if ti := opts.Workload.TraceInstructions(); ti > 0 && ti < perThread {
-		perThread = ti
-	}
-	want := perThread * uint64(opts.Threads)
-	if st.Retired < want {
+	if want := opts.Instructions * uint64(opts.Threads); st.Retired < want {
 		return nil, fmt.Errorf("sim %s: retired only %d of %d instructions in %d cycles (deadlock?)",
 			opts.Workload.Name, st.Retired, want, st.Cycles)
 	}

@@ -32,6 +32,23 @@ func TestBaselineRunCompletes(t *testing.T) {
 	}
 }
 
+// TestRunRetiresExactlyItsBudget checks that a run retires its whole
+// instruction budget on every hardware thread and not one instruction more.
+func TestRunRetiresExactlyItsBudget(t *testing.T) {
+	w := spec(t, "server-kvstore-00")
+	for _, n := range []uint64{1, 4000} {
+		for _, threads := range []int{1, 2} {
+			res, err := Run(Options{Workload: w, Instructions: n, Threads: threads})
+			if err != nil {
+				t.Fatalf("budget %d, %d threads: %v", n, threads, err)
+			}
+			if want := n * uint64(threads); res.Pipeline.Retired != want {
+				t.Errorf("budget %d, %d threads: retired %d, want %d", n, threads, res.Pipeline.Retired, want)
+			}
+		}
+	}
+}
+
 func TestRunIsDeterministic(t *testing.T) {
 	opts := Options{Workload: spec(t, "client-browser-00"), Instructions: 20_000,
 		Mech: Mechanism{Constable: true, EVES: true}}

@@ -71,10 +71,6 @@ type Options struct {
 	// in bytes (default 64 MiB). Dispatch chunks are JSON-small; the cap
 	// exists so a confused or hostile peer cannot balloon worker memory.
 	MaxBody int64
-	// MaxTraceFetch caps how many bytes a single trace fetch from the
-	// server will read (default 256 MiB, matching the server's default
-	// upload cap).
-	MaxTraceFetch int64
 	// ResultsServer is the base URL of the cluster-wide result store the
 	// worker consults before simulating and writes back to on completion
 	// (GET/PUT /v1/results/{hash}). Empty means Server — the common
@@ -89,10 +85,9 @@ type Options struct {
 // on the advertised address, then either call Run (register + heartbeat
 // until the context ends) or drive Register/Deregister manually.
 type Worker struct {
-	opts        Options
-	sched       *service.Scheduler
-	client      *http.Client
-	traceClient *http.Client
+	opts   Options
+	sched  *service.Scheduler
+	client *http.Client
 
 	mu sync.Mutex
 	id string // registered worker ID, "" when unregistered
@@ -113,24 +108,11 @@ func New(opts Options) (*Worker, error) {
 	if opts.MaxBody <= 0 {
 		opts.MaxBody = 64 << 20
 	}
-	if opts.MaxTraceFetch <= 0 {
-		opts.MaxTraceFetch = 256 << 20
-	}
 	w := &Worker{
 		opts:   opts,
 		client: &http.Client{Timeout: 10 * time.Second},
-		// Trace downloads move real bytes; give them their own, more
-		// generous transfer budget than the control-plane client.
-		traceClient: &http.Client{Timeout: 2 * time.Minute},
 	}
-	cfg := service.Config{
-		Workers:   opts.Capacity,
-		CacheSize: opts.CacheSize,
-		// The local scheduler resolves "trace:<hash>" workloads by
-		// downloading the bytes from the server; the store verifies the
-		// fetched content hash before any record reaches the pipeline.
-		TraceFetch: w.fetchTrace,
-	}
+	cfg := service.Config{Workers: opts.Capacity, CacheSize: opts.CacheSize}
 	// The cluster-wide result share: a dispatched cell that misses the
 	// worker's private LRU is looked up on the results server before
 	// simulating (hash-verified envelope; a tampered or aliased one is
@@ -152,29 +134,6 @@ func New(opts Options) (*Worker, error) {
 	}
 	w.sched = sched
 	return w, nil
-}
-
-// fetchTrace downloads one trace's raw bytes from the server by content
-// hash. The caller (the trace store) re-hashes what it gets back, so this
-// only has to move bytes, not trust them.
-func (w *Worker) fetchTrace(hash string) ([]byte, error) {
-	resp, err := w.traceClient.Get(w.opts.Server + "/v1/traces/" + hash)
-	if err != nil {
-		return nil, fmt.Errorf("worker: trace fetch: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("worker: trace fetch %s: HTTP %d: %s", hash, resp.StatusCode, bytes.TrimSpace(b))
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, w.opts.MaxTraceFetch+1))
-	if err != nil {
-		return nil, fmt.Errorf("worker: trace fetch %s: %w", hash, err)
-	}
-	if int64(len(data)) > w.opts.MaxTraceFetch {
-		return nil, fmt.Errorf("worker: trace fetch %s: exceeds %d bytes", hash, w.opts.MaxTraceFetch)
-	}
-	return data, nil
 }
 
 // ID returns the server-assigned worker ID, or "" before registration.
@@ -226,13 +185,6 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	j, err := w.sched.Submit(req.Spec)
 	if err != nil {
 		if errors.Is(err, service.ErrShuttingDown) {
-			writeJSON(rw, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
-			return
-		}
-		if errors.Is(err, service.ErrTraceUnavailable) {
-			// This worker couldn't produce the trace bytes (fetch failed,
-			// server hiccup): the worker's condition, not the job's — 503
-			// makes the server requeue the cell on a backend that can.
 			writeJSON(rw, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
 			return
 		}
@@ -325,12 +277,6 @@ func (w *Worker) handleExecuteBatch(rw http.ResponseWriter, r *http.Request) {
 				abandonFrom(0)
 				writeJSON(rw, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
 				return
-			}
-			if errors.Is(err, service.ErrTraceUnavailable) {
-				// This worker couldn't fetch the cell's trace: requeue just
-				// this cell elsewhere, like the single-dispatch 503.
-				items[i] = service.BatchExecuteItem{Error: err.Error(), Requeue: true}
-				continue
 			}
 			items[i] = service.BatchExecuteItem{Error: err.Error()}
 			continue

@@ -33,14 +33,12 @@ const (
 // Categories lists all categories in the paper's plotting order.
 var Categories = []Category{Client, Enterprise, FSPEC17, ISPEC17, Server}
 
-// Spec declares one workload: a named, seeded kernel mix, or a captured
-// instruction trace (see trace.go) when trace is non-nil.
+// Spec declares one workload: a named, seeded kernel mix.
 type Spec struct {
 	Name     string
 	Category Category
 	Seed     int64
 	mixes    []mix
-	trace    *traceBacking
 
 	// programs memoizes NewCPU's Build, indexed by APX mode.
 	programs [2]builtProgram
@@ -56,12 +54,8 @@ type builtProgram struct {
 }
 
 // Build assembles the workload's program. APX selects the 32-register
-// code-generation mode of appendix B. Trace-backed specs have no program to
-// build — replay them through NewStream instead.
+// code-generation mode of appendix B.
 func (s *Spec) Build(apx bool) (*prog.Program, error) {
-	if s.trace != nil {
-		return nil, fmt.Errorf("workload: %s is trace-backed and has no buildable program", s.Name)
-	}
 	rng := rand.New(rand.NewSource(s.Seed))
 	return buildProgram(s.Name, s.mixes, apx, rng)
 }
@@ -78,6 +72,16 @@ func (s *Spec) NewCPU(apx bool) (*fsim.CPU, error) {
 		return nil, b.err
 	}
 	return fsim.New(b.p), nil
+}
+
+// NewStream returns the instruction stream of one simulation thread: a
+// functional CPU of the workload that yields at most max instructions.
+func (s *Spec) NewStream(apx bool, max uint64) (*fsim.Stream, error) {
+	cpu, err := s.NewCPU(apx)
+	if err != nil {
+		return nil, err
+	}
+	return fsim.NewStream(cpu, max), nil
 }
 
 // archetype is a reusable kernel mix; each workload instantiates one with a

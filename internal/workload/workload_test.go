@@ -328,3 +328,24 @@ func TestSharedProgramConcurrentCPUs(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+func TestKernelStreamViaNewStream(t *testing.T) {
+	spec := SmallSuite()[0]
+	st, err := spec.NewStream(false, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var count int
+	for {
+		if _, ok := st.Next(); !ok {
+			break
+		}
+		count++
+	}
+	if count != 25 {
+		t.Fatalf("kernel stream yielded %d, want 25", count)
+	}
+	if st.Err() != nil {
+		t.Fatalf("kernel stream Err() = %v", st.Err())
+	}
+}
